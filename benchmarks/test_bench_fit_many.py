@@ -5,7 +5,7 @@ kernels release the GIL only for part of each step), so a batch of fits
 gains little from threads.  The process backend maps the population out of
 ``multiprocessing.shared_memory`` — base scores, attribute matrix, and the
 compiled objective are placed in one segment and every job ships a tiny
-shard descriptor — which parallelizes the step loop across cores for real.
+job descriptor — which parallelizes the step loop across cores for real.
 
 Two assertions pin the backend contract:
 

@@ -185,7 +185,7 @@ class LintProject:
     """Every parsed module of one lint run, plus the lazily built call graph.
 
     Module-scoped rules (R1–R4) see one :class:`LintModule` at a time;
-    project-scoped rules (R5, R6) see the whole project so they can follow
+    project-scoped rules (R5) see the whole project so they can follow
     calls across files.  A single-file lint (``lint_source``) is simply a
     one-module project, which is what lets the interprocedural rules run on
     the fixture corpus unchanged.
@@ -337,7 +337,7 @@ def run_lint(
     """Lint every ``.py`` file under ``paths`` and return sorted findings.
 
     All parseable files form **one** project, so the interprocedural rules
-    (R5/R6) follow calls across every file in the run.
+    (R5) follow calls across every file in the run.
     """
     findings: list[Finding] = []
     modules: list[LintModule] = []

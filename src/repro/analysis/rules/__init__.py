@@ -7,18 +7,15 @@ Each rule audits one of the contracts described in ``docs/contracts.md``:
           seeded generators — never global RNG state or wall clocks.
 ``R2``    Shared-memory lifecycle: every segment allocation is
           dominated by ``close()``/``unlink()`` on all paths.
-``R3``    Compiled-objective contract: ``partial``/``merge``/
-          ``shard_fields`` travel together and order-sensitive FP
-          reductions stay out of ``partial``.
+``R3``    Compiled-objective contract: ``export_state`` pairs with
+          ``from_state`` so workers can rebuild shared state.
 ``R4``    Worker-boundary pickling: process pools receive module-level
           functions and plain descriptors, never closures or tables.
 ``R5``    RNG lineage (interprocedural): every draw reachable from a fit
           entry point traces to a seeded, parent-owned generator.
-``R6``    Shard disjointness (interprocedural): worker writes into shared
-          scratch are indexed through the worker's own shard descriptor.
 ========  ============================================================
 
-R1–R4 are module-scoped; R5/R6 are project-scoped and consult the call
+R1–R4 are module-scoped; R5 is project-scoped and consults the call
 graph (:mod:`repro.analysis.callgraph`) built over the whole lint run.
 """
 
@@ -31,7 +28,6 @@ from .contract import CompiledContractRule
 from .determinism import DeterminismRule
 from .pickling import WorkerPicklingRule
 from .rng_lineage import RngLineageRule
-from .shard_disjoint import ShardDisjointRule
 from .shm import ShmLifecycleRule
 
 __all__ = [
@@ -39,7 +35,6 @@ __all__ = [
     "DEFAULT_RULES",
     "DeterminismRule",
     "RngLineageRule",
-    "ShardDisjointRule",
     "ShmLifecycleRule",
     "WorkerPicklingRule",
     "rules_by_id",
@@ -52,7 +47,6 @@ DEFAULT_RULES: tuple[Rule, ...] = (
     CompiledContractRule(),
     WorkerPicklingRule(),
     RngLineageRule(),
-    ShardDisjointRule(),
 )
 
 

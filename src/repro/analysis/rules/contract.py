@@ -1,19 +1,10 @@
-"""R3 — the compiled-objective map-reduce contract.
+"""R3 — the compiled-objective shared-state contract.
 
-``CompiledObjective`` subclasses promise bitwise identity between the
-single-process and sharded fit paths.  Two structural invariants make that
-promise auditable:
-
-* ``partial``/``merge``/``shard_fields`` travel together: a class defining
-  ``partial`` without the other two can be mapped over shards but never
-  reduced, and a missing ``shard_fields`` silently falls back to
-  whole-table pickling.  Likewise ``export_state`` (producer) requires
-  ``from_state`` (worker-side consumer).
-* ``partial`` bodies perform *gathers only*.  Floating-point reductions
-  (``np.sum``, ``.mean()``, ``@`` …) are order-sensitive, and running them
-  per-shard changes the summation order versus the single-fit path — the
-  exact bug class the contract exists to prevent.  All reductions belong in
-  ``merge``, which sees shard accumulators in deterministic shard order.
+``CompiledObjective`` subclasses that can be shared across jobs and worker
+processes promise that a worker can rebuild them from what the parent
+exports: a class defining ``export_state`` (producer) must also define
+``from_state`` (worker-side consumer).  Without it, the compiled state a
+process-pool worker is handed cannot be turned back into an objective.
 
 The same pairing check also runs at class-definition time via
 ``CompiledObjective.__init_subclass__``; this rule catches classes that are
@@ -29,61 +20,22 @@ from ..lint import Finding, LintModule, Rule
 
 __all__ = ["CompiledContractRule"]
 
-#: Fully qualified callables that reduce over an axis in FP.
-_REDUCTION_CALLS = frozenset(
-    {
-        "numpy.sum",
-        "numpy.nansum",
-        "numpy.mean",
-        "numpy.nanmean",
-        "numpy.average",
-        "numpy.dot",
-        "numpy.vdot",
-        "numpy.inner",
-        "numpy.matmul",
-        "numpy.tensordot",
-        "numpy.einsum",
-        "numpy.prod",
-        "numpy.cumsum",
-        "numpy.add.reduce",
-        "numpy.linalg.norm",
-    }
-)
-
-#: Method terminals that reduce the receiver in FP (``scores.sum()`` …).
-_REDUCTION_METHODS = frozenset({"sum", "mean", "dot", "prod", "std", "var"})
-
-
-def _methods(class_def: ast.ClassDef) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
-    return {
-        statement.name: statement
-        for statement in class_def.body
-        if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
 
 class CompiledContractRule(Rule):
-    """Audit partial/merge/shard_fields pairing and partial-body purity."""
+    """Audit export_state/from_state pairing."""
 
     id = "R3"
-    title = "compiled-objective contract: partial gathers, merge reduces"
+    title = "compiled-objective contract: export_state pairs with from_state"
 
     def check(self, module: LintModule) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ClassDef):
                 continue
-            methods = _methods(node)
-            if "partial" in methods:
-                missing = [m for m in ("merge", "shard_fields") if m not in methods]
-                if missing:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"class {node.name} defines partial() without "
-                        f"{' and '.join(missing)}; the map-reduce contract "
-                        "requires partial/merge/shard_fields together",
-                    )
-                yield from self._scan_partial(module, node, methods["partial"])
+            methods = {
+                statement.name
+                for statement in node.body
+                if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef))
+            }
             if "export_state" in methods and "from_state" not in methods:
                 yield self.finding(
                     module,
@@ -91,39 +43,3 @@ class CompiledContractRule(Rule):
                     f"class {node.name} defines export_state() without "
                     "from_state(); workers cannot rebuild the compiled state",
                 )
-
-    def _scan_partial(
-        self,
-        module: LintModule,
-        class_def: ast.ClassDef,
-        partial: ast.FunctionDef | ast.AsyncFunctionDef,
-    ) -> Iterator[Finding]:
-        for node in ast.walk(partial):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
-                yield self.finding(
-                    module,
-                    node,
-                    f"matrix product (@) inside {class_def.name}.partial(); "
-                    "order-sensitive FP reductions belong in merge()",
-                )
-            elif isinstance(node, ast.Call):
-                resolved = module.resolve_call(node.func)
-                if resolved in _REDUCTION_CALLS:
-                    yield self.finding(
-                        module,
-                        node,
-                        f"{resolved}() inside {class_def.name}.partial(); "
-                        "order-sensitive FP reductions belong in merge()",
-                    )
-                elif (
-                    resolved is None
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in _REDUCTION_METHODS
-                ):
-                    yield self.finding(
-                        module,
-                        node,
-                        f".{node.func.attr}() reduction inside "
-                        f"{class_def.name}.partial(); partial must gather "
-                        "only — reduce in merge()",
-                    )

@@ -4,7 +4,7 @@ Work submitted to a *process* pool crosses a pickle boundary.  Lambdas and
 nested functions do not pickle at all; bound methods drag their whole
 instance across; and passing a ``Table``/cohort as an argument re-pickles
 megabytes per task, defeating the shared-memory planes entirely.  The
-contract is: module-level functions plus plain shard *descriptors* (names,
+contract is: module-level functions plus plain job *descriptors* (names,
 slices, segment handles).
 
 Thread pools share an address space, so closures over tables are legal
@@ -204,6 +204,6 @@ class WorkerPicklingRule(Rule):
                 module,
                 site,
                 f"{heavy!r} passed across a process-pool boundary re-pickles "
-                "the whole object per task; pass a shard descriptor and "
+                "the whole object per task; pass a job descriptor and "
                 "attach via shared memory",
             )

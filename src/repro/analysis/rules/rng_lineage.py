@@ -1,25 +1,15 @@
 """R5 — rng-lineage: every draw reachable from a fit traces to a seeded root.
 
 R1 audits one function at a time inside the hot directories.  R5 closes the
-two gaps that leaves open, using the project call graph
-(:mod:`repro.analysis.callgraph`):
-
-* **Reachability beats directory layout.**  Any function reachable from an
-  entry point — ``DCA.fit``, ``fit_many``, ``deferred_acceptance``,
-  ``fit_bonus_points``, or the process-pool worker paths — is audited for
-  the R1 violation set (global-singleton draws, *unseeded*
-  ``default_rng()``, the stdlib ``random`` module, wall clocks) no matter
-  which directory it lives in.  A helper in ``tabular/`` that quietly pulls
-  OS entropy is invisible to R1 and flagged here, with the full call chain
-  in the message.
-* **The row-shard worker path owns no randomness at all.**  Within
-  ``_shard_worker_step`` and its callees, *any* generator construction —
-  even a seeded one — is flagged: the parent owns the fit's single sample
-  stream, and a generator forked in a shard worker means the worker is
-  consuming RNG state the serial path never would.  (The job-grain worker
-  ``_plane_worker_fit`` legitimately re-mints each job's seeded generator —
-  one fit per job — so the no-mint check applies to the row-shard path
-  only.)
+gap that leaves open, using the project call graph
+(:mod:`repro.analysis.callgraph`): **reachability beats directory layout.**
+Any function reachable from an entry point — ``DCA.fit``, ``fit_many``,
+``deferred_acceptance``, ``fit_bonus_points``, or the process-pool worker
+``_plane_worker_fit`` — is audited for the R1 violation set
+(global-singleton draws, *unseeded* ``default_rng()``, the stdlib
+``random`` module, wall clocks) no matter which directory it lives in.  A
+helper in ``tabular/`` that quietly pulls OS entropy is invisible to R1 and
+flagged here, with the full call chain in the message.
 
 Findings anchor at the draw/mint site, so the same-line
 ``# repro-lint: disable=R5`` escape hatch works exactly like R1's.
@@ -44,15 +34,7 @@ ENTRY_TERMINALS = (
     "fit_bonus_points",
     "deferred_acceptance",
     "_plane_worker_fit",
-    "_shard_worker_step",
-    "_scheduler_worker_loop",
 )
-
-#: Entry points forming the row-shard worker path, where even seeded
-#: generator minting is a violation (the parent owns the sample stream).
-#: ``_shard_worker_serve`` is the shared step kernel both the legacy
-#: ``pool.map`` dispatch and the doorbell scheduler loop call into.
-WORKER_ENTRY_TERMINALS = ("_shard_worker_step", "_shard_worker_serve")
 
 
 def _short(qualname: str) -> str:
@@ -78,18 +60,10 @@ class RngLineageRule(ProjectRule):
             for terminal in ENTRY_TERMINALS
             for info in graph.functions_named(terminal)
         ]
-        worker_entries = [
-            info.qualname
-            for terminal in WORKER_ENTRY_TERMINALS
-            for info in graph.functions_named(terminal)
-        ]
-        worker_reach = graph.reachable_from(worker_entries)
         for qualname, chain in sorted(graph.reachable_from(entries).items()):
-            info = graph.functions[qualname]
-            worker_chain = worker_reach.get(qualname)
-            yield from self._check_function(info, chain, worker_chain)
+            yield from self._check_function(graph.functions[qualname], chain)
 
-    def _check_function(self, info, chain, worker_chain) -> Iterator[Finding]:
+    def _check_function(self, info, chain) -> Iterator[Finding]:
         module = info.module
         suffix = f" [reached via {_chain_text(chain)}]"
         for node in ast.walk(info.node):
@@ -101,16 +75,7 @@ class RngLineageRule(ProjectRule):
             if name.startswith("numpy.random."):
                 terminal = name.rsplit(".", 1)[1]
                 if terminal in _GENERATOR_FACTORIES:
-                    if worker_chain is not None:
-                        yield self.finding(
-                            module,
-                            node,
-                            f"np.random.{terminal}() mints a generator on the "
-                            "row-shard worker path; the parent owns the fit's "
-                            "one sample stream — ship arrays, not RNG state"
-                            f" [reached via {_chain_text(worker_chain)}]",
-                        )
-                    elif terminal == "default_rng" and not node.args and not node.keywords:
+                    if terminal == "default_rng" and not node.args and not node.keywords:
                         yield self.finding(
                             module,
                             node,

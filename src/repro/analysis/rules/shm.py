@@ -34,9 +34,7 @@ from ..lint import Finding, LintModule, Rule, ancestors, dotted_name
 __all__ = ["ShmLifecycleRule"]
 
 #: Constructor terminals that allocate (or wrap) a shared-memory segment.
-_ALLOCATORS = frozenset(
-    {"SharedMemory", "SharedColumnStore", "SharedPopulationPlane", "ShardedFitPlane"}
-)
+_ALLOCATORS = frozenset({"SharedMemory", "SharedColumnStore", "SharedPopulationPlane"})
 
 _CLEANUP_METHODS = frozenset({"close", "unlink", "shutdown"})
 

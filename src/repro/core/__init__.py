@@ -38,12 +38,9 @@ from .objectives import (
 )
 from .parallel import (
     CompiledObjectiveCache,
-    PlaneCache,
-    ShardedFitPlane,
     SharedColumnStore,
     default_objective_cache,
 )
-from .scheduler import FitScheduler
 from .result import DCAResult, DCATrace
 from .sampling import SampleStream, rarest_group_frequency, recommended_sample_size
 
@@ -64,9 +61,6 @@ __all__ = [
     "DCATrace",
     "CompiledObjective",
     "CompiledObjectiveCache",
-    "FitScheduler",
-    "PlaneCache",
-    "ShardedFitPlane",
     "SharedColumnStore",
     "default_objective_cache",
     "AttributeNormalizer",

@@ -14,11 +14,10 @@ __all__ = ["DCAConfig", "validate_worker_count"]
 
 
 def validate_worker_count(name: str, value: int | None) -> int | None:
-    """Eagerly reject zero/negative worker or shard counts.
+    """Eagerly reject zero/negative worker counts.
 
-    The one implementation of the ">= 1 or ValueError" rule shared by
-    :meth:`DCAConfig.validate`, :meth:`repro.core.DCA.fit`/``fit_many``, and
-    the sharded fit plane.  ``None`` passes through (it means "use the
+    The one implementation of the ">= 1 or ValueError" rule for
+    :meth:`repro.core.DCA.fit_many`'s ``max_workers``.  ``None`` passes through (it means "use the
     default"); anything below 1 raises a clear ``ValueError`` *before* any
     pool or shared-memory segment is created, instead of failing obscurely
     inside an executor.
@@ -75,17 +74,6 @@ class DCAConfig:
         the legacy reference path that materializes a
         :class:`~repro.tabular.Table` slice per step; it produces bitwise
         identical results and exists for verification and debugging.
-    row_workers:
-        Number of shared-memory worker processes a single :meth:`~repro.core.DCA.fit`
-        row-shards its sampled objective evaluations across
-        (:class:`~repro.core.parallel.ShardedFitPlane`).  ``None`` or 1 runs
-        in-process.  Results are bitwise identical to the in-process path
-        for any value; worth it when the per-step sample is large (big
-        cohorts with ``sample_size`` in the tens of thousands or more).
-    shard_rows:
-        Rows per contiguous shard of a row-sharded fit; ``None`` splits the
-        population evenly over ``row_workers``.  Purely a granularity knob —
-        results are identical for any value.
     rng_batching:
         ``"per_step"`` (the default) draws each step's sample in its own
         generator call, preserving seed-for-seed history.  ``"per_phase"``
@@ -103,17 +91,6 @@ class DCAConfig:
         frequency).  Opt-in because the correction consumes extra RNG draws
         whenever it triggers, so fits are not seed-comparable with the
         default mode.
-    step_dispatch:
-        How a row-sharded fit drives its workers each step.  ``"doorbell"``
-        (the default) keeps one persistent pool blocking on a shared-memory
-        doorbell (:class:`~repro.core.scheduler.FitScheduler`): the parent
-        writes ``(bonus, sample_len, step_id)`` into the control block and
-        barrier-releases the workers — no per-step pickling or task-queue
-        hop — and, when the objective supports it, workers publish
-        shard-local top-k candidates so the parent merges ``shards × k``
-        entries instead of argpartitioning the full sample.  ``"pool"`` is
-        the legacy per-step ``pool.map`` dispatch kept for comparison
-        benches and debugging.  Results are bitwise identical either way.
     """
 
     learning_rates: tuple[float, ...] = (1.0, 0.1)
@@ -129,11 +106,8 @@ class DCAConfig:
     initial_bonus_scale: float = 1.0
     min_group_count: int = 30
     engine: str = "array"
-    row_workers: int | None = None
-    shard_rows: int | None = None
     rng_batching: str = "per_step"
     stratified_sampling: bool = False
-    step_dispatch: str = "doorbell"
 
     def validate(self) -> None:
         if not self.learning_rates:
@@ -174,16 +148,10 @@ class DCAConfig:
             raise ValueError(f"min_group_count must be positive, got {self.min_group_count}")
         if self.engine not in ("array", "table"):
             raise ValueError(f"engine must be 'array' or 'table', got {self.engine!r}")
-        validate_worker_count("row_workers", self.row_workers)
-        validate_worker_count("shard_rows", self.shard_rows)
         if self.rng_batching not in ("per_step", "per_phase"):
             raise ValueError(
                 "rng_batching must be 'per_step' or 'per_phase', "
                 f"got {self.rng_batching!r}"
-            )
-        if self.step_dispatch not in ("doorbell", "pool"):
-            raise ValueError(
-                f"step_dispatch must be 'doorbell' or 'pool', got {self.step_dispatch!r}"
             )
 
     def rng(self):

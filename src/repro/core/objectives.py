@@ -39,31 +39,6 @@ to their table-path results); custom subclasses that only implement
 ``evaluate`` automatically fall back to a compiled wrapper that slices the
 table, so they keep working under the array engine unchanged.
 
-Map-reduce (sharded) evaluation
--------------------------------
-
-A compiled objective can additionally expose its evaluation in **map-reduce
-form**, which is what lets one fit's per-step signal be computed from
-disjoint row shards (:class:`repro.core.parallel.ShardedFitPlane`):
-
-* :meth:`CompiledObjective.partial` is the *map* step: for one shard's rows
-  it gathers everything the objective needs about those rows — their
-  compensated scores plus the per-row state declared by
-  :meth:`CompiledObjective.shard_fields` — into a plain dict-of-arrays
-  *accumulator*.  ``partial`` performs only gathers (bit-exact row
-  indexing), never a floating-point reduction.
-* :meth:`CompiledObjective.merge` is the *reduce* step: it folds shard
-  accumulators — concatenated in shard-rank order — into the signal vector.
-  Every order-sensitive floating-point reduction lives here and operates on
-  the reassembled sample exactly as ``evaluate`` would, so
-  ``merge([partial(indices, scores, k)], k)`` is **bitwise identical** to
-  ``evaluate(indices, scores, k)``, and splitting the same sample across
-  any number of shards cannot change a single bit of the result.
-
-The built-in compiled objectives all support the contract; the table
-fallback explicitly does not (its ``evaluate`` needs the whole sample's
-table slice), which callers detect through ``shard_fields() is None``.
-
 Sharing compiled state
 ----------------------
 
@@ -125,16 +100,12 @@ class CompiledObjective(abc.ABC):
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
-        """Enforce the map-reduce contract at class-definition time.
+        """Enforce the shared-state contract at class-definition time.
 
-        The same pairing rules repro-lint's R3 checks statically: a class
-        that overrides :meth:`partial` must also override :meth:`merge`
-        and :meth:`shard_fields` (a partial that nothing can reduce — or
-        that silently falls back to whole-table pickling — is a latent
-        bug, not an option), and overriding :meth:`export_state` requires
-        :meth:`from_state` so workers can rebuild the state they receive.
-        Failing here, when the subclass is *defined*, beats failing on the
-        first sharded fit months later.
+        The same pairing rule repro-lint's R3 checks statically: overriding
+        :meth:`export_state` requires :meth:`from_state` so workers can
+        rebuild the state they receive.  Failing here, when the subclass is
+        *defined*, beats failing on the first process-pool fit months later.
         """
         super().__init_subclass__(**kwargs)
 
@@ -144,13 +115,6 @@ class CompiledObjective(abc.ABC):
             # Compare underlying functions so classmethods participate.
             return getattr(ours, "__func__", ours) is not getattr(base, "__func__", base)
 
-        if overrides("partial"):
-            missing = [name for name in ("merge", "shard_fields") if not overrides(name)]
-            if missing:
-                raise TypeError(
-                    f"{cls.__name__} overrides partial() without {' and '.join(missing)}: "
-                    "the map-reduce contract requires partial/merge/shard_fields together"
-                )
         if overrides("export_state") and not overrides("from_state"):
             raise TypeError(
                 f"{cls.__name__} overrides export_state() without from_state(): "
@@ -160,78 +124,6 @@ class CompiledObjective(abc.ABC):
     @abc.abstractmethod
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         """Per-attribute fairness signal for the rows at ``indices``."""
-
-    # ------------------------------------------------------------------
-    # Map-reduce (sharded) evaluation
-    # ------------------------------------------------------------------
-    def shard_fields(self) -> dict[str, tuple[str, int]] | None:
-        """Per-row accumulator fields needed for map-reduce evaluation.
-
-        Maps each field name :meth:`partial` emits (besides ``"scores"``,
-        which every accumulator carries) to ``(dtype string, columns)``,
-        where ``columns`` is the field's trailing dimension (0 for a 1-D
-        field).  The sharded fit plane uses this to pre-allocate
-        shared-memory scratch sized to the sample.  Returning ``None`` (the
-        default) declares that this compiled objective cannot be evaluated
-        shard-wise; such objectives still work everywhere else, but
-        row-sharded fits fall back to in-process execution.
-        """
-        return None
-
-    def topk_fraction(self, k: float) -> float | None:
-        """The single selection fraction :meth:`merge` masks with, if any.
-
-        When an objective's reduce step selects exactly one top-``k`` set
-        over the merged scores (``selection_mask(scores, fraction)`` for one
-        fraction), returning that fraction lets the sharded fit plane
-        compute the mask *distributed*: workers publish shard-local top
-        candidates and the parent merges ``shards × k`` entries instead of
-        argpartitioning the full sample, then hands the finished mask to
-        :meth:`merge` via its ``selection`` argument.  Returning ``None``
-        (the default) declares no such single mask — e.g. multi-fraction
-        reduces — and merge computes selections itself.
-        """
-        return None
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        """Map step: one shard's accumulator for the rows at ``indices``.
-
-        ``scores`` are the compensated scores of exactly those rows.  The
-        returned dict holds ``"scores"`` plus one array per
-        :meth:`shard_fields` entry, each with ``len(indices)`` rows.  The
-        method performs only bit-exact gathers — all floating-point
-        reductions are deferred to :meth:`merge`, which is what makes the
-        sharded result independent of how the sample was partitioned.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support map-reduce (sharded) evaluation"
-        )
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Reduce step: fold shard accumulators into the signal vector.
-
-        ``accumulators`` are :meth:`partial` outputs in shard-rank order;
-        their concatenation defines the evaluated sample.  ``merge`` uses
-        only compile-time metadata (never per-row population arrays), so
-        any equivalently-compiled instance can reduce any shard's output —
-        in particular the parent process can merge what pool workers
-        mapped.  ``merge([partial(indices, scores, k)], k)`` is bitwise
-        identical to ``evaluate(indices, scores, k)``.
-
-        ``selection``, when given, is the precomputed boolean top-``k``
-        mask over the merged sample (the distributed top-k merge described
-        in :meth:`topk_fraction`); it must equal
-        ``selection_mask(scores, topk_fraction(k))`` bitwise.  Objectives
-        whose :meth:`topk_fraction` is ``None`` never receive one.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support map-reduce (sharded) evaluation"
-        )
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict] | None:
         """Split this compiled objective into ``(arrays, metadata)``.
@@ -270,30 +162,6 @@ class _CompiledTableFallback(CompiledObjective):
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         subset = self._table if indices is None else self._table.take(indices)
         return self._objective.evaluate(subset, scores, k).vector
-
-    def shard_fields(self) -> None:
-        """Explicitly no sharding: the table path evaluates whole samples only."""
-        return None
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        raise NotImplementedError(
-            "this objective only implements the table-path evaluate(); row-sharded "
-            "execution requires an array-plane compilation that overrides "
-            "CompiledObjective.shard_fields/partial/merge"
-        )
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        raise NotImplementedError(
-            "this objective only implements the table-path evaluate(); row-sharded "
-            "execution requires an array-plane compilation that overrides "
-            "CompiledObjective.shard_fields/partial/merge"
-        )
-
 
 class FairnessObjective(abc.ABC):
     """Base class for the vector-valued fairness signals DCA can minimize."""
@@ -379,69 +247,18 @@ def _column_means(matrix: np.ndarray) -> np.ndarray:
     return np.add.reduce(matrix, axis=0) / matrix.shape[0]
 
 
-def _merged_arrays(accumulators: Sequence[dict]) -> dict:
-    """Reassemble shard accumulators into one sample-sized array per field.
-
-    Concatenation order is the given shard-rank order; concatenating row
-    gathers is bit-exact, so the reassembled arrays equal what a single
-    un-sharded gather over the whole sample would have produced.
-    """
-    if not accumulators:
-        raise ValueError("merge requires at least one shard accumulator")
-    if len(accumulators) == 1:
-        return accumulators[0]
-    return {
-        key: np.concatenate([np.asarray(acc[key]) for acc in accumulators])
-        for key in accumulators[0]
-    }
-
-
 class _CompiledDisparity(CompiledObjective):
-    """Array-plane Definition 3 disparity over a pre-normalized matrix.
-
-    ``evaluate`` and ``merge`` share one kernel (:meth:`_signal`), so the
-    map-reduce identity ``merge([partial(...)]) == evaluate(...)`` holds by
-    construction rather than by keeping two copies of the arithmetic in sync.
-    """
+    """Array-plane Definition 3 disparity over a pre-normalized matrix."""
 
     __slots__ = ("_matrix",)
 
     def __init__(self, matrix: np.ndarray) -> None:
         self._matrix = matrix
 
-    @staticmethod
-    def _signal(
-        matrix: np.ndarray,
-        scores: np.ndarray,
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        mask = selection if selection is not None else selection_mask(scores, k)
-        return _column_means(matrix[mask]) - _column_means(matrix)
-
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         matrix = self._matrix if indices is None else self._matrix[indices]
-        return self._signal(matrix, scores, k)
-
-    def shard_fields(self) -> dict[str, tuple[str, int]]:
-        return {"matrix": (self._matrix.dtype.str, int(self._matrix.shape[1]))}
-
-    def topk_fraction(self, k: float) -> float:
-        # merge() masks at exactly one fraction — k itself — so the sharded
-        # plane may hand it a distributed-merge selection mask.
-        return float(k)
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        return {"scores": scores, "matrix": self._matrix[indices]}
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        arrays = _merged_arrays(accumulators)
-        return self._signal(arrays["matrix"], arrays["scores"], k, selection)
+        mask = selection_mask(scores, k)
+        return _column_means(matrix[mask]) - _column_means(matrix)
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"matrix": self._matrix}, {}
@@ -512,9 +329,8 @@ class _CompiledLogDiscounted(CompiledObjective):
             self._cached_weights = weights / weights.sum()
         return self._cached_grid, self._cached_weights
 
-    def _signal(self, matrix: np.ndarray, scores: np.ndarray, k: float) -> np.ndarray:
-        # The one kernel behind evaluate and merge: the map-reduce identity
-        # cannot drift because there is no second copy of this arithmetic.
+    def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
+        matrix = self._matrix if indices is None else self._matrix[indices]
         grid, weights = self._capped_grid(k)
         population_centroid = _column_means(matrix)
         total = np.zeros(matrix.shape[1], dtype=float)
@@ -522,27 +338,6 @@ class _CompiledLogDiscounted(CompiledObjective):
             mask = selection_mask(scores, fraction)
             total += weight * (_column_means(matrix[mask]) - population_centroid)
         return total
-
-    def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix = self._matrix if indices is None else self._matrix[indices]
-        return self._signal(matrix, scores, k)
-
-    def shard_fields(self) -> dict[str, tuple[str, int]]:
-        return {"matrix": (self._matrix.dtype.str, int(self._matrix.shape[1]))}
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        return {"scores": scores, "matrix": self._matrix[indices]}
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        # topk_fraction() stays None here: the reduce masks at every grid
-        # fraction, so no single distributed top-k mask applies.
-        arrays = _merged_arrays(accumulators)
-        return self._signal(arrays["matrix"], arrays["scores"], k)
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         # The per-k weight cache is scratch state: every rebuilt instance
@@ -743,27 +538,6 @@ class _CompiledGroupObjective(CompiledObjective):
         membership = self._membership if indices is None else self._membership[indices]
         return self._kernel(membership, selection_mask(scores, k))
 
-    def shard_fields(self) -> dict[str, tuple[str, int]]:
-        return {"membership": (self._membership.dtype.str, int(self._membership.shape[1]))}
-
-    def topk_fraction(self, k: float) -> float:
-        # merge() applies one selection mask at fraction k; the sharded
-        # plane may precompute it via the distributed top-k merge.
-        return float(k)
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        return {"scores": scores, "membership": self._membership[indices]}
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        arrays = _merged_arrays(accumulators)
-        mask = selection if selection is not None else selection_mask(arrays["scores"], k)
-        return self._kernel(arrays["membership"], mask)
-
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         # The kernel is a module-level function, so it travels by reference
         # (both through the in-process cache and through pickle to workers).
@@ -790,34 +564,6 @@ class _CompiledFalsePositiveRate(CompiledObjective):
             membership, labels = self._membership[indices], self._labels[indices]
         return _false_positive_rate_values(membership, labels, selection_mask(scores, k))
 
-    def shard_fields(self) -> dict[str, tuple[str, int]]:
-        return {
-            "membership": (self._membership.dtype.str, int(self._membership.shape[1])),
-            "labels": (self._labels.dtype.str, 0),
-        }
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        return {
-            "scores": scores,
-            "membership": self._membership[indices],
-            "labels": self._labels[indices],
-        }
-
-    def topk_fraction(self, k: float) -> float:
-        # merge() applies one selection mask at fraction k; the sharded
-        # plane may precompute it via the distributed top-k merge.
-        return float(k)
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        arrays = _merged_arrays(accumulators)
-        mask = selection if selection is not None else selection_mask(arrays["scores"], k)
-        return _false_positive_rate_values(arrays["membership"], arrays["labels"], mask)
-
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"membership": self._membership, "labels": self._labels}, {}
 
@@ -837,23 +583,6 @@ class _CompiledExposureGap(CompiledObjective):
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
         membership = self._membership if indices is None else self._membership[indices]
         return _exposure_gap_values(membership, scores)
-
-    def shard_fields(self) -> dict[str, tuple[str, int]]:
-        return {"membership": (self._membership.dtype.str, int(self._membership.shape[1]))}
-
-    def partial(self, indices: np.ndarray, scores: np.ndarray, k: float) -> dict[str, np.ndarray]:
-        return {"scores": scores, "membership": self._membership[indices]}
-
-    def merge(
-        self,
-        accumulators: Sequence[dict],
-        k: float,
-        selection: np.ndarray | None = None,
-    ) -> np.ndarray:
-        # topk_fraction() stays None: exposure weights every rank, so there
-        # is no top-k mask to distribute.
-        arrays = _merged_arrays(accumulators)
-        return _exposure_gap_values(arrays["membership"], arrays["scores"])
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
         return {"membership": self._membership}, {}

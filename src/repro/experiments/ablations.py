@@ -29,7 +29,6 @@ def _evaluate_batch(
     specs: list[FitSpec],
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> list[tuple[float, float, int, dict]]:
     """Fit every spec in one batch; report (norm, seconds, sample size, bonus) per spec.
 
@@ -37,9 +36,7 @@ def _evaluate_batch(
     timings stay meaningful even when the batch itself runs on a pool.
     """
     results = []
-    for fit in setting.fit_dca_batch(
-        specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-    ):
+    for fit in setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor):
         scores = setting.compensated_scores("test", fit.result.bonus)
         norm = setting.disparity("test", scores, fit.k)["norm"]
         results.append(
@@ -54,7 +51,6 @@ def run_sample_size(
     sample_sizes: Sequence[int | None] = (100, 250, 500, 1000, 2000, None),
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """Residual disparity and runtime for different per-step sample sizes."""
     setting = SchoolSetting(num_students=num_students)
@@ -68,9 +64,7 @@ def run_sample_size(
     ]
     rows = []
     for sample_size, (norm, seconds, actual, bonus) in zip(
-        sample_sizes, _evaluate_batch(
-            setting, specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-        )
+        sample_sizes, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
     ):
         rows.append(
             {
@@ -89,7 +83,6 @@ def run_schedule(
     k: float = DEFAULT_K,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """The paper's two-rate schedule vs single learning rates."""
     setting = SchoolSetting(num_students=num_students)
@@ -109,9 +102,7 @@ def run_schedule(
     ]
     rows = []
     for label, (norm, seconds, _, bonus) in zip(
-        schedules, _evaluate_batch(
-            setting, specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-        )
+        schedules, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
     ):
         rows.append(
             {"schedule": label, "test_disparity_norm": norm, "seconds": seconds, "bonus": str(bonus)}
@@ -126,7 +117,6 @@ def run_granularity(
     granularities: Sequence[float] = (0.1, 0.25, 0.5, 1.0, 2.0),
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """Bonus rounding granularity vs residual disparity."""
     setting = SchoolSetting(num_students=num_students)
@@ -140,9 +130,7 @@ def run_granularity(
     ]
     rows = []
     for granularity, (norm, seconds, _, bonus) in zip(
-        granularities, _evaluate_batch(
-            setting, specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-        )
+        granularities, _evaluate_batch(setting, specs, max_workers=max_workers, executor=executor)
     ):
         rows.append(
             {
@@ -161,7 +149,6 @@ def run(
     k: float = DEFAULT_K,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """Run all three ablations and merge their tables."""
     merged = ExperimentResult(
@@ -174,21 +161,18 @@ def run(
             k=k,
             max_workers=max_workers,
             executor=executor,
-            row_workers=row_workers,
         ),
         run_schedule(
             num_students=num_students,
             k=k,
             max_workers=max_workers,
             executor=executor,
-            row_workers=row_workers,
         ),
         run_granularity(
             num_students=num_students,
             k=k,
             max_workers=max_workers,
             executor=executor,
-            row_workers=row_workers,
         ),
     ):
         for label, rows in sub.tables.items():

@@ -14,11 +14,6 @@ Run a sweep-heavy experiment on the shared-memory process pool::
 
     repro-experiments run fig4 --executor process --workers 4
 
-Row-shard every fit of a sweep across shared-memory workers (bitwise
-identical results; pays off on large cohorts with large per-step samples)::
-
-    repro-experiments run fig4 --num-students 2000000 --row-workers 4
-
 Run the admissions match on the vectorized round-based engine, with schools
 proposing (the school-optimal matching)::
 
@@ -36,7 +31,6 @@ import inspect
 import sys
 from typing import Sequence
 
-from ..core.parallel import STEP_DISPATCH_MODES
 from ..matching import ENGINES, PROPOSING_SIDES
 from . import EXPERIMENT_RUNNERS
 from .harness import ExperimentResult
@@ -80,28 +74,6 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         help="pool size for the thread/process executors (default: one per job, capped at CPUs)",
-    )
-    parser.add_argument(
-        "--row-workers",
-        type=_positive_int,
-        default=None,
-        dest="row_workers",
-        help=(
-            "row-shard every DCA fit across this many shared-memory worker "
-            "processes (bitwise identical to the in-process fit; pays off on "
-            "large cohorts with large per-step samples)"
-        ),
-    )
-    parser.add_argument(
-        "--step-dispatch",
-        choices=STEP_DISPATCH_MODES,
-        default=None,
-        dest="step_dispatch",
-        help=(
-            "how row-sharded fits hand each optimization step to the workers: "
-            "'doorbell' (persistent pool on a shared-memory doorbell, the "
-            "default) or 'pool' (per-step pool.map, the pre-scheduler path)"
-        ),
     )
     parser.add_argument(
         "--engine",
@@ -151,8 +123,6 @@ def _run_one(
     workers: int | None = None,
     engine: str | None = None,
     proposing: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Invoke a runner, forwarding only the options its signature supports.
 
@@ -169,8 +139,6 @@ def _run_one(
         "max_workers": workers,
         "engine": engine,
         "proposing": proposing,
-        "row_workers": row_workers,
-        "step_dispatch": step_dispatch,
     }
     kwargs = {
         key: value
@@ -207,8 +175,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.workers,
             args.engine,
             args.proposing,
-            args.row_workers,
-            args.step_dispatch,
         )
         _emit(result.format(), args.output)
         return 0
@@ -223,8 +189,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                     args.workers,
                     args.engine,
                     args.proposing,
-                    args.row_workers,
-                    args.step_dispatch,
                 ).format()
             )
         _emit("\n\n".join(outputs), args.output)

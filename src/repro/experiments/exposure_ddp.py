@@ -30,7 +30,6 @@ def run(
     caps: Sequence[float] | None = None,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """Regenerate the before/after DDP comparison.
 
@@ -57,9 +56,7 @@ def run(
     specs = [
         FitSpec(k=cap, objective=objective, label=f"cap {cap:g}") for cap in sorted(caps)
     ]
-    fits = setting.fit_dca_batch(
-        specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-    )
+    fits = setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor)
     by_cap = {fit.k: fit for fit in fits}
 
     # Compare each protected group against its complement, as well as all

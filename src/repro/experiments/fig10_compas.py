@@ -26,8 +26,6 @@ def run(
     k_values: Sequence[float] = DEFAULT_K_SWEEP,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 10a/10b/10c series."""
     setting = CompasSetting(num_defendants=num_defendants)
@@ -55,8 +53,6 @@ def run(
         k_values,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
     fig10a_rows = []
     for k in k_values:
@@ -71,8 +67,6 @@ def run(
         objective=fpr_objective,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
     fig10b_rows = []
     baseline_fpr_rows = []

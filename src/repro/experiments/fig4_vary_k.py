@@ -40,8 +40,6 @@ def run(
     assumed_k: float = DEFAULT_K,
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
-    step_dispatch: str | None = None,
 ) -> ExperimentResult:
     """Regenerate the Figure 4a/4b/4c series on the test cohort."""
     setting = SchoolSetting(num_students=num_students)
@@ -61,8 +59,6 @@ def run(
         k_values,
         max_workers=max_workers,
         executor=executor,
-        row_workers=row_workers,
-        step_dispatch=step_dispatch,
     )
     per_k_bonus = {k: per_k[float(k)].bonus for k in k_values}
     result.add_table(

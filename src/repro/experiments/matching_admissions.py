@@ -102,7 +102,6 @@ class MatchingSetting:
         max_k: float,
         max_workers: int | None = None,
         executor: str | None = None,
-        row_workers: int | None = None,
     ):
         """One log-discounted bonus vector per school via ``fit_many``."""
         objective = LogDiscountedDisparityObjective(self.setting.fairness_attributes)
@@ -115,9 +114,7 @@ class MatchingSetting:
             )
             for school in range(self.num_schools)
         ]
-        return self.setting.fit_dca_batch(
-            specs, max_workers=max_workers, executor=executor, row_workers=row_workers
-        )
+        return self.setting.fit_dca_batch(specs, max_workers=max_workers, executor=executor)
 
     def score_planes(self, fits) -> tuple[np.ndarray, np.ndarray]:
         """(baseline, compensated) ``(num_schools, num_students)`` score planes.
@@ -208,7 +205,6 @@ def run(
     proposing: str = "students",
     max_workers: int | None = None,
     executor: str | None = None,
-    row_workers: int | None = None,
 ) -> ExperimentResult:
     """Run the full DCA → deferred-acceptance → demographics pipeline.
 
@@ -236,9 +232,7 @@ def run(
         ),
     )
 
-    fits = setting.fit_school_bonuses(
-        max_k, max_workers=max_workers, executor=executor, row_workers=row_workers
-    )
+    fits = setting.fit_school_bonuses(max_k, max_workers=max_workers, executor=executor)
     baseline_plane, compensated_plane = setting.score_planes(fits)
     preferences = setting.preferences()
     baseline_match = setting.match(baseline_plane, preferences)

@@ -2,9 +2,7 @@
 
 Runs every built-in scenario of :mod:`repro.scenarios` through the
 Monte-Carlo driver — by default all six shapes x all three matching engines
-x both proposing sides x two DCA objectives, with a ``row_workers=2``
-row-sharded fit checked bitwise against its serial twin in every trial —
-and reports three tables:
+x both proposing sides x two DCA objectives — and reports three tables:
 
 * **fairness envelopes** — min/mean/max over trials of the disparity norm,
   DDP, and representation gaps before vs after compensation, plus the
@@ -21,7 +19,7 @@ extending the committed performance trajectory.
 
 CLI::
 
-    repro-experiments run scenarios --engine vector --row-workers 4
+    repro-experiments run scenarios --engine vector
     repro-experiments run scenarios --executor process --workers 4
 """
 
@@ -35,10 +33,6 @@ from ..scenarios import builtin_scenarios, run_scenario
 from .harness import ExperimentResult
 
 __all__ = ["run"]
-
-#: Row-sharded workers used for the bitwise-identity fit when the CLI does
-#: not override ``--row-workers``.
-DEFAULT_ROW_WORKERS = 2
 
 
 def _load_bench_recorder():
@@ -68,7 +62,6 @@ def run(
     proposing: str | None = None,
     executor: str | None = None,
     max_workers: int | None = None,
-    row_workers: int | None = None,
     trials: int | None = None,
 ) -> ExperimentResult:
     """Sweep every built-in scenario and report its envelopes.
@@ -76,21 +69,18 @@ def run(
     ``engine``/``proposing`` restrict the matching grid to one engine or
     side (default: all three engines on both sides — the full differential
     grid).  ``executor`` adds a ``fit_many`` backend to check bitwise against
-    the serial batch; ``row_workers`` sets the row-sharded fit's worker
-    count (default 2; the sharded fit must be bitwise identical to serial).
-    ``num_students`` rescales every scenario to one size, and ``trials``
-    overrides each scenario's Monte-Carlo trial count.
+    the serial batch.  ``num_students`` rescales every scenario to one size,
+    and ``trials`` overrides each scenario's Monte-Carlo trial count.
     """
     engines = (engine,) if engine else ENGINES
     proposing_sides = (proposing,) if proposing else PROPOSING_SIDES
     executors = ("serial",) if executor in (None, "serial") else ("serial", executor)
-    sharded_workers = row_workers if row_workers is not None else DEFAULT_ROW_WORKERS
 
     result = ExperimentResult(
         name="scenarios",
         description=(
             "Monte-Carlo market-shape stress sweep: fairness/runtime envelopes and "
-            "cross-engine / cross-worker-count identity checks per scenario"
+            "cross-engine / cross-executor identity checks per scenario"
         ),
     )
 
@@ -106,7 +96,6 @@ def run(
             engines=engines,
             proposing_sides=proposing_sides,
             executors=executors,
-            row_workers=sharded_workers,
             max_workers=max_workers,
             trials=trials,
         )
@@ -148,8 +137,7 @@ def run(
     result.add_table("identity checks (1 = held in every trial)", identity_rows)
     result.add_note(
         f"grid: {len(fairness_rows)} scenarios x engines={','.join(engines)} x "
-        f"proposing={','.join(proposing_sides)} x executors={','.join(executors)}; "
-        f"row-sharded fit workers={sharded_workers}"
+        f"proposing={','.join(proposing_sides)} x executors={','.join(executors)}"
     )
     result.add_note(
         "Identity checks assert the repo's core contracts on every generated "
@@ -166,7 +154,6 @@ def run(
                 "scenarios": len(fairness_rows),
                 "engines": len(engines),
                 "proposing_sides": len(proposing_sides),
-                "row_workers": sharded_workers,
             },
         )
     return result

@@ -10,8 +10,7 @@ under ``tests/data/scenarios/``.
 Tier-1 tests replay every committed instance on every run
 (``tests/test_scenarios.py``): they recompute the instance from its embedded
 config, assert the golden numbers still hold, and additionally run the full
-engine grid (``vector == heap == reference`` on both sides) plus a
-``row_workers`` fit that must be bitwise equal to the serial fit.  Regenerate
+engine grid (``vector == heap == reference`` on both sides).  Regenerate
 after an intentional behaviour change with::
 
     REPRO_REGEN_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_scenarios.py -q

@@ -8,8 +8,6 @@ fairness and runtime metric — plus hard *identity* verdicts:
 
 * ``engines_identical`` — every engine produced the same assignment vector
   as every other, on every proposing side, in every trial;
-* ``sharded_bitwise_identical`` — a ``row_workers=N`` fit reproduced the
-  serial fit bit for bit (only recorded when ``row_workers`` is set);
 * ``<executor>_bitwise_identical`` — a ``fit_many`` run on that executor
   reproduced the serial batch bit for bit (only for executors beyond
   ``"serial"``).
@@ -25,7 +23,7 @@ generate_market`'s seeded stream — this module draws nothing itself.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -131,7 +129,6 @@ def run_scenario(
     engines: Sequence[str] = ENGINES,
     proposing_sides: Sequence[str] = PROPOSING_SIDES,
     executors: Sequence[str] = ("serial",),
-    row_workers: int | None = None,
     objectives: Sequence[str] = ("disparity", "log_discounted"),
     fit_config: DCAConfig | None = None,
     max_workers: int | None = None,
@@ -141,11 +138,9 @@ def run_scenario(
 
     ``engines``/``proposing_sides`` span the matching grid (every engine runs
     on every side, on the compensated score plane, and must agree exactly);
-    ``objectives`` the DCA objectives fitted per trial; ``executors`` the
-    ``fit_many`` backends checked bitwise against the serial batch; and
-    ``row_workers`` additionally row-shards one fit per trial and checks it
-    bitwise against its serial twin.  ``trials`` overrides the config's own
-    trial count.
+    ``objectives`` the DCA objectives fitted per trial; and ``executors``
+    the ``fit_many`` backends checked bitwise against the serial batch.
+    ``trials`` overrides the config's own trial count.
     """
     config.validate()
     for engine in engines:
@@ -164,8 +159,6 @@ def run_scenario(
     fairness_samples: dict[str, list[float]] = {}
     runtime_samples: dict[str, list[float]] = {}
     identity: dict[str, int] = {"engines_identical": 1}
-    if row_workers is not None and row_workers > 1:
-        identity["sharded_bitwise_identical"] = 1
     for executor in executors:
         if executor != "serial":
             identity[f"{executor}_bitwise_identical"] = 1
@@ -200,24 +193,6 @@ def run_scenario(
                     serial_fit.result.bonus.values, other.result.bonus.values
                 ):
                     identity[f"{executor}_bitwise_identical"] = 0
-
-        if row_workers is not None and row_workers > 1:
-            spec = specs[0]
-            sharded_dca = DCA(
-                attributes,
-                score_function,
-                k,
-                objective=OBJECTIVES[objectives[0]](attributes),
-                config=replace(base_fit_config, seed=spec.seed),
-            )
-            start = time.perf_counter()
-            sharded = sharded_dca.fit(table, row_workers=row_workers)
-            record(runtime_samples, "fit_sharded_seconds", time.perf_counter() - start)
-            serial_result = serial_fits[0].result
-            if not np.array_equal(
-                serial_result.raw_bonus.values, sharded.raw_bonus.values
-            ) or not np.array_equal(serial_result.bonus.values, sharded.bonus.values):
-                identity["sharded_bitwise_identical"] = 0
 
         # Fairness of the compensated ranking (first objective's bonus).
         bonus = serial_fits[0].result.bonus

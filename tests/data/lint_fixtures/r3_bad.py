@@ -1,27 +1,6 @@
-"""Known-bad R3 fixture: broken map-reduce contracts."""
-
-import numpy as np
-
-
-class PartialWithoutMerge:  # LINT-EXPECT: R3
-    def partial(self, indices, scores, k):
-        return {"scores": scores}
+"""Known-bad R3 fixture: exported compiled state nothing can rebuild."""
 
 
 class ExportWithoutFromState:  # LINT-EXPECT: R3
     def export_state(self):
         return {}, {}
-
-
-class ReducesInsidePartial:
-    def shard_fields(self):
-        return {}
-
-    def partial(self, indices, scores, k):
-        total = np.sum(scores)  # LINT-EXPECT: R3
-        mixed = scores.mean()  # LINT-EXPECT: R3
-        proj = scores @ scores  # LINT-EXPECT: R3
-        return {"scores": scores, "total": total, "mixed": mixed, "proj": proj}
-
-    def merge(self, accumulators, k):
-        return accumulators

@@ -1,19 +1,9 @@
-"""Known-good R3 fixture: partial gathers, merge owns every reduction."""
-
-import numpy as np
+"""Known-good R3 fixture: exported state paired with its rebuild."""
 
 
 class WellFormedCompiled:
-    def shard_fields(self):
-        return {"matrix": self._matrix}
-
-    def partial(self, indices, scores, k):
-        # Pure gathers: bit-exact regardless of shard order.
-        return {"scores": scores, "rows": self._matrix[indices]}
-
-    def merge(self, accumulators, k):
-        rows = np.concatenate([acc["rows"] for acc in accumulators])
-        return float(np.sum(rows) / max(k, 1))
+    def evaluate(self, indices, scores, k):
+        return self._matrix[indices].mean(axis=0)
 
     def export_state(self):
         return {"matrix": self._matrix}, {}

@@ -2,7 +2,7 @@
 
 Every violation here is *invisible to R1*: the draws live in helpers, in a
 directory R1 does not audit, and only the call graph connects them to the
-``fit`` / ``_shard_worker_step`` entry points.
+``fit`` / ``_plane_worker_fit`` entry points.
 """
 
 import random
@@ -33,12 +33,11 @@ def fit(values):
     return values + noise, stream, _stamp()
 
 
-def _fork_stream(seed):
-    # Seeded, so fine on an ordinary fit path — but reachable from the
-    # row-shard worker below, where minting ANY generator is a violation.
-    return np.random.default_rng(seed)  # LINT-EXPECT: R5
+def _job_noise(n):
+    # Reachable only from the process-pool worker below: a global-singleton
+    # draw there makes each job depend on the worker's RNG state.
+    return np.random.standard_normal(n)  # LINT-EXPECT: R5
 
 
-def _shard_worker_step(job):
-    rng = _fork_stream(1234)
-    return rng.integers(0, 10)
+def _plane_worker_fit(job):
+    return job.index, _job_noise(job.sample_size)

@@ -1,8 +1,8 @@
-"""Known-bad scenario fixture: a market-shape worker minting its own RNG.
+"""Known-bad scenario fixture: a market-shape worker drawing hidden randomness.
 
 Lives under a ``scenarios/`` directory, which is hot-path for R1 — so the
 unseeded draws are flagged twice: directly by R1, and interprocedurally by
-R5 through the ``fit`` / ``_shard_worker_step`` entry points.
+R5 through the ``fit`` / ``_plane_worker_fit`` entry points.
 """
 
 import numpy as np
@@ -21,12 +21,12 @@ def fit(market):
     return market.base_scores + noise * _trial_stream().normal()
 
 
-def _scenario_shard_stream(seed):
-    # Seeded, so R1 has no complaint — but the row-shard worker below may
-    # not mint ANY generator, so R5 flags the minting site.
-    return np.random.default_rng(seed)  # LINT-EXPECT: R5
+def _scenario_job_stream():
+    # Unseeded, on the process-pool worker path only: each job would pull
+    # fresh OS entropy instead of its config's seeded stream.
+    return np.random.default_rng()  # LINT-EXPECT: R1, R5
 
 
-def _shard_worker_step(job):
-    rng = _scenario_shard_stream(job.seed)
-    return rng.integers(0, job.num_rows)
+def _plane_worker_fit(job):
+    rng = _scenario_job_stream()
+    return job.index, rng.integers(0, job.num_rows)

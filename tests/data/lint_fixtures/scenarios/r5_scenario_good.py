@@ -3,7 +3,7 @@
 Same call-graph shape as ``scenarios/r5_scenario_bad.py``, but every
 generator is minted from an explicit ``(seed, trial)`` pair on the
 ordinary fit path — the idiom ``repro.scenarios.market`` uses — and the
-row-shard worker only consumes arrays it was handed.
+process-pool worker derives its stream from the job's seed the same way.
 """
 
 import numpy as np
@@ -22,8 +22,6 @@ def fit(market):
     return market.base_scores + _market_noise(rng, market.num_students)
 
 
-def _shard_worker_step(state, shard, sample):
-    lo, hi = state.bounds[shard]
-    positions = scenario_shard_positions(state.indices, lo, hi)
-    state.scratch[positions] = sample[positions]
-    return positions.shape[0]
+def _plane_worker_fit(job):
+    rng = _trial_stream(job.seed, job.trial)
+    return job.index, _market_noise(rng, job.num_students)

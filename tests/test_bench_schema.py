@@ -39,11 +39,7 @@ def _assert_numeric_leaves(mapping: dict, where: str) -> None:
 
 def test_expected_trajectory_files_are_committed() -> None:
     names = {path.name for path in COMMITTED}
-    assert {
-        "BENCH_sharded_fit.json",
-        "BENCH_matching.json",
-        "BENCH_scheduler.json",
-    } <= names
+    assert {"BENCH_matching.json", "BENCH_scenarios.json"} <= names
 
 
 @pytest.mark.parametrize("path", COMMITTED, ids=[p.name for p in COMMITTED])

@@ -148,33 +148,6 @@ class TestExposureGapObjective:
 class TestCompiledObjectiveContract:
     """``CompiledObjective.__init_subclass__`` fails fast on broken contracts."""
 
-    def test_partial_without_merge_and_shard_fields_rejected(self):
-        from repro.core.objectives import CompiledObjective
-
-        with pytest.raises(TypeError, match="merge and shard_fields"):
-
-            class PartialOnly(CompiledObjective):  # repro-lint: disable=R3
-                def evaluate(self, indices, scores, k):
-                    return np.zeros(1)
-
-                def partial(self, indices, scores, k):
-                    return {"scores": scores}
-
-    def test_partial_with_merge_but_no_shard_fields_rejected(self):
-        from repro.core.objectives import CompiledObjective
-
-        with pytest.raises(TypeError, match="shard_fields"):
-
-            class NoShardFields(CompiledObjective):  # repro-lint: disable=R3
-                def evaluate(self, indices, scores, k):
-                    return np.zeros(1)
-
-                def partial(self, indices, scores, k):
-                    return {"scores": scores}
-
-                def merge(self, accumulators, k):
-                    return np.zeros(1)
-
     def test_export_state_without_from_state_rejected(self):
         from repro.core.objectives import CompiledObjective
 
@@ -194,15 +167,6 @@ class TestCompiledObjectiveContract:
             def evaluate(self, indices, scores, k):
                 return np.zeros(1)
 
-            def shard_fields(self):
-                return {}
-
-            def partial(self, indices, scores, k):
-                return {"scores": scores}
-
-            def merge(self, accumulators, k):
-                return np.zeros(1)
-
             def export_state(self):
                 return {}, {}
 
@@ -210,17 +174,18 @@ class TestCompiledObjectiveContract:
             def from_state(cls, arrays, metadata):
                 return cls()
 
-        # A subclass refining only partial() inherits the rest of the
-        # contract from its parent — that must stay legal.
-        class RefinedPartial(WellFormed):  # repro-lint: disable=R3
-            def partial(self, indices, scores, k):
-                return {"scores": scores}
+        # A subclass refining only export_state() inherits from_state()
+        # from its parent — that must stay legal.
+        class RefinedExport(WellFormed):  # repro-lint: disable=R3
+            def export_state(self):
+                return {"extra": np.zeros(1)}, {}
 
-        assert RefinedPartial().merge([{"scores": np.zeros(1)}], 0.5).shape == (1,)
+        arrays, metadata = RefinedExport().export_state()
+        assert isinstance(RefinedExport.from_state(arrays, metadata), RefinedExport)
 
     def test_builtin_compiled_objectives_still_define_cleanly(self, biased_table):
         # Importing the module already ran __init_subclass__ over every
         # built-in compiled objective; compiling one proves the path works.
         table, _ = biased_table
         compiled = DisparityObjective(["protected"]).fit(table).compile(table)
-        assert compiled.shard_fields() is not None
+        assert compiled.export_state() is not None

@@ -309,6 +309,13 @@ class TestCLI:
             first_choices[proposing] = int(baseline_row.split("|")[1])
         assert first_choices["schools"] <= first_choices["students"]
 
+    def test_cli_rejects_bad_worker_flags(self, capsys):
+        # Zero/negative/non-integer pool sizes fail at parse time, before
+        # any pool or shared-memory segment exists.
+        for value in ("0", "-1", "two"):
+            with pytest.raises(SystemExit):
+                cli_main(["run", "fig4", "--workers", value])
+
     def test_cli_rejects_unknown_engine(self, capsys):
         with pytest.raises(SystemExit):
             cli_main(["run", "matching", "--engine", "quantum"])

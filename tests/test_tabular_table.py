@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import SharedColumnStore
 from repro.tabular import (
     ColumnLengthError,
     DuplicateColumnError,
@@ -240,3 +241,62 @@ class TestSummaries:
     def test_equality(self, table):
         assert table == Table(table.to_dict())
         assert table != table.take([0, 1])
+
+
+class TestSharedColumnStore:
+    def test_round_trip_and_table_views(self):
+        with SharedColumnStore(100, ("a", "b")) as store:
+            store.view("a")[...] = np.arange(100, dtype=float)
+            store.view("b")[...] = np.ones(100)
+            table = store.table()
+            assert np.array_equal(table.numeric("a"), np.arange(100, dtype=float))
+            # Continuous float columns are zero-copy views into the segment.
+            store.view("a")[0] = 41.0
+            assert table.numeric("a")[0] == 41.0
+
+    def test_validation(self):
+        # Both constructors raise before any segment exists, so there is
+        # nothing to close — statically unverifiable, hence the disables.
+        with pytest.raises(ValueError, match="num_rows"):
+            SharedColumnStore(0, ("a",))  # repro-lint: disable=R2
+        with pytest.raises(ValueError, match="column name"):
+            SharedColumnStore(10, ())  # repro-lint: disable=R2
+
+    def test_shared_cohort_bitwise_identical_to_plain(self):
+        from repro.datasets import SchoolGeneratorConfig, generate_school_cohort
+
+        config = SchoolGeneratorConfig(num_students=2000)
+        plain = generate_school_cohort("store-test", config, seed=13)
+        shared = generate_school_cohort("store-test", config, seed=13, shared=True)
+        try:
+            assert shared.store is not None
+            for name in (
+                "student_id", "gpa", "test_scores", "grade_ela", "test_math",
+                "absences", "district", "low_income", "ell", "special_ed", "eni",
+            ):
+                assert np.array_equal(plain.table.numeric(name), shared.table.numeric(name)), name
+        finally:
+            shared.close()
+        plain.close()  # no-op for unshared cohorts
+
+    def test_copula_sample_into_matches_sample(self):
+        from repro.datasets.copula import GaussianCopula, binary_marginal, uniform_marginal
+
+        copula = GaussianCopula(
+            [binary_marginal("flag", 0.3), uniform_marginal("level", 0.0, 2.0)],
+            np.array([[1.0, 0.4], [0.4, 1.0]]),
+        )
+        direct = copula.sample(500, np.random.default_rng(21))
+        out = {"flag": np.empty(500), "level": np.empty(500)}
+        copula.latent_and_sample_into(500, np.random.default_rng(21), out)
+        assert np.array_equal(direct["flag"], out["flag"])
+        assert np.array_equal(direct["level"], out["level"])
+
+    def test_sample_into_rejects_bad_buffer_shape(self):
+        from repro.datasets.copula import GaussianCopula, binary_marginal
+
+        copula = GaussianCopula([binary_marginal("flag", 0.3)], np.eye(1))
+        with pytest.raises(ValueError, match="shape"):
+            copula.latent_and_sample_into(
+                100, np.random.default_rng(0), {"flag": np.empty(99)}
+            )
