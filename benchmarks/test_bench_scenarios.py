@@ -1,14 +1,14 @@
 """Benchmark: the scenario stress sweep as a recorded envelope trajectory.
 
 Runs the Monte-Carlo market-shape sweep at stress scale — every built-in
-scenario, all three matching engines on both proposing sides, a serial
+scenario, both matching engines on both proposing sides, a serial
 ``fit_many`` batch per trial plus its process-pool twin — and records the
 fairness/runtime envelopes into ``BENCH_scenarios.json`` via
 :func:`record_bench`.
 
 Two hard assertions ride along (the scenario-smoke CI step relies on them):
 
-* **cross-engine identity** — every engine produced the same matching on
+* **cross-engine identity** — both engines produced the same matching on
   every generated market shape, both proposing sides;
 * **process bitwise identity** — the ``executor="process"`` batch
   reproduced the serial batch bit for bit on every shape.
@@ -59,7 +59,6 @@ def test_scenario_sweep_envelopes_and_identity():
             "disparity_after": envelope.fairness["disparity_norm_after"]["mean"],
             "fit_serial_seconds": runtime["fit_serial_seconds"]["mean"],
             "fit_process_seconds": runtime["fit_process_seconds"]["mean"],
-            "match_heap_seconds": runtime["match_heap_seconds"]["mean"],
             "match_vector_seconds": runtime["match_vector_seconds"]["mean"],
             "match_reference_seconds": runtime["match_reference_seconds"]["mean"],
             "speedup": (

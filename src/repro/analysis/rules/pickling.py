@@ -8,7 +8,7 @@ contract is: module-level functions plus plain job *descriptors* (names,
 slices, segment handles).
 
 Thread pools share an address space, so closures over tables are legal
-there — ``ThreadPoolExecutor`` is deliberately exempt.
+there; only process-pool constructors are tracked.
 """
 
 from __future__ import annotations

@@ -52,12 +52,10 @@ Batched execution
 -----------------
 
 :meth:`DCA.fit_many` runs seed/k/objective grids (or explicit
-:class:`FitSpec` lists) over one population through three interchangeable
+:class:`FitSpec` lists) over one population through two interchangeable
 backends selected by ``executor``:
 
-* ``"serial"`` — one job after another in the calling thread;
-* ``"thread"`` — a thread pool (the NumPy kernels release the GIL for part
-  of each step, so this helps mildly);
+* ``"serial"`` — one job after another in the calling process;
 * ``"process"`` — a process pool whose workers map the population out of
   ``multiprocessing.shared_memory`` (see :mod:`repro.core.parallel`): the
   base scores, attribute matrices, and each objective's compiled state are
@@ -65,7 +63,7 @@ backends selected by ``executor``:
   descriptor.  This is the backend that actually parallelizes the
   Python-level step loop across cores.
 
-All three produce bitwise identical results for the same specs: every job
+Both produce bitwise identical results for the same specs: every job
 owns its own seeded generator, and the shared arrays are exactly the ones a
 serial fit would compute.  A per-population
 :class:`~repro.core.parallel.CompiledObjectiveCache` additionally lets jobs
@@ -75,7 +73,6 @@ signature skip recompiling the objective, on every backend.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import os
 import time
@@ -113,7 +110,7 @@ __all__ = [
 ]
 
 #: Executor names accepted by :meth:`DCA.fit_many`.
-_EXECUTORS = ("serial", "thread", "process")
+_EXECUTORS = ("serial", "process")
 
 
 def _project(values: np.ndarray, config: DCAConfig) -> np.ndarray:
@@ -127,6 +124,22 @@ def _project(values: np.ndarray, config: DCAConfig) -> np.ndarray:
 def _signal_norm(signal: np.ndarray) -> float:
     """L2 norm of a small signal vector (same value as ``np.linalg.norm``)."""
     return float(np.sqrt(signal @ signal))
+
+
+def _finite_base_scores(scores: np.ndarray) -> np.ndarray:
+    """The base scores as a float array; any non-finite score is rejected.
+
+    A NaN compares false against everything, so a fit on it would rank
+    nonsense and still publish a bonus vector.
+    """
+    base = np.asarray(scores, dtype=float)
+    bad = base.size - int(np.count_nonzero(np.isfinite(base)))
+    if bad:
+        raise ValueError(
+            f"{bad} of {base.size} base scores are not finite (NaN or inf); "
+            "DCA needs a finite score for every row"
+        )
+    return base
 
 
 def _resolve_sample_size(
@@ -182,7 +195,7 @@ class _BonusSearch:
         # the array engine, the raw fairness-attribute matrix A_f plus the
         # objective compiled against this population (through the cache when
         # one is provided, so batched jobs share one compilation).
-        self._base_scores = np.asarray(score_function.scores(table), dtype=float)
+        self._base_scores = _finite_base_scores(score_function.scores(table))
         if config.engine == "array":
             self._attribute_matrix = table.matrix(list(self.attribute_names))
             if objective_cache is not None:
@@ -579,9 +592,7 @@ class DCA:
 
         ``executor`` picks the backend:
 
-        * ``"serial"`` — jobs run one after another in the calling thread;
-        * ``"thread"`` — a thread pool; the NumPy kernels release the GIL
-          for part of each step, so speedups are modest;
+        * ``"serial"`` — jobs run one after another in the calling process;
         * ``"process"`` — a process pool over a shared-memory population
           plane (:mod:`repro.core.parallel`): base scores, attribute
           matrices, and compiled objective state are placed in
@@ -593,11 +604,11 @@ class DCA:
           back to in-parent serial execution, preserving result order and
           values.  A worker that dies mid-grid raises a ``RuntimeError``
           (``BrokenProcessPool``) rather than hanging.
-        * ``None`` (default) — ``"thread"`` when ``max_workers`` asks for
-          parallelism, else ``"serial"`` (the pre-``executor`` behaviour).
+        * ``None`` (default) — ``"process"`` when ``max_workers`` asks for
+          parallelism, else ``"serial"``.
 
-        ``max_workers`` sizes the pool; for the parallel backends it
-        defaults to ``min(len(jobs), os.cpu_count())``.  Zero or negative
+        ``max_workers`` sizes the process pool; it defaults to
+        ``min(len(jobs), os.cpu_count())``.  Zero or negative
         ``max_workers`` is rejected eagerly, before any pool or
         shared-memory segment is created.  Compiled objectives
         are cached per population (see
@@ -632,13 +643,9 @@ class DCA:
 
         max_workers = validate_worker_count("max_workers", max_workers)
         if executor is None:
-            executor = "thread" if (max_workers is not None and max_workers > 1) else "serial"
+            executor = "process" if (max_workers is not None and max_workers > 1) else "serial"
         if executor not in _EXECUTORS:
             raise ValueError(f"executor must be one of {_EXECUTORS}, got {executor!r}")
-        if max_workers is None:
-            workers = min(len(jobs), os.cpu_count() or 1)
-        else:
-            workers = int(max_workers)
         # Explicit None check: an empty cache is falsy (it has __len__).
         cache = (
             self.objective_cache
@@ -646,15 +653,10 @@ class DCA:
             else default_objective_cache()
         )
         if executor == "process":
-            return self._fit_many_process(table, jobs, cache, workers)
-
-        def run_one(spec: FitSpec) -> BatchFitResult:
-            return self._run_single_spec(table, spec, cache)
-
-        if executor == "thread" and workers > 1 and len(jobs) > 1:
-            with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(run_one, jobs))
-        return [run_one(job) for job in jobs]
+            if max_workers is None:
+                max_workers = min(len(jobs), os.cpu_count() or 1)
+            return self._fit_many_process(table, jobs, cache, max_workers)
+        return [self._run_single_spec(table, job, cache) for job in jobs]
 
     # ------------------------------------------------------------------
     # fit_many internals
@@ -674,10 +676,10 @@ class DCA:
         spec: FitSpec,
         cache: CompiledObjectiveCache,
     ) -> BatchFitResult:
-        """Run one batch job in this process (the serial/thread backends)."""
+        """Run one batch job in this process (the serial backend and fallbacks)."""
         config, objective_template, k = self._resolve_spec(spec)
         # Fresh objective per job: fit() mutates normalizer state, and
-        # concurrent jobs must not share it.
+        # jobs must not share it.
         objective = copy.deepcopy(objective_template)
         job_dca = DCA(
             objective.attribute_names,
@@ -768,7 +770,7 @@ class DCA:
 
         results: dict[int, BatchFitResult] = {}
         if plane_jobs:
-            arrays["base"] = np.asarray(self.score_function.scores(table), dtype=float)
+            arrays["base"] = _finite_base_scores(self.score_function.scores(table))
             plane = SharedPopulationPlane(arrays)
             try:
                 # Pool workers inherit the parent's resource tracker (under

@@ -28,10 +28,11 @@ This module is the scaling substrate behind :meth:`repro.core.DCA.fit_many`:
 
 The process backend trades a one-time plane construction + worker start-up
 cost for true multi-core execution of the Python-level DCA step loop, which
-the thread backend cannot parallelize (the loop holds the GIL between NumPy
-kernels).  Results are bitwise identical to the serial path because
-workers consume exactly the arrays the serial path would compute and every
-job owns its own seeded generator.
+threads cannot parallelize (the loop holds the GIL between NumPy kernels,
+so a thread pool runs a grid slower than one thread does).  Results are
+bitwise identical to the serial path because workers consume exactly the
+arrays the serial path would compute and every job owns its own seeded
+generator.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ Run a sweep-heavy experiment on the shared-memory process pool::
 
     repro-experiments run fig4 --executor process --workers 4
 
-Run the admissions match on the vectorized round-based engine, with schools
-proposing (the school-optimal matching)::
+Run the admissions match with schools proposing (the school-optimal
+matching)::
 
-    repro-experiments run matching --engine vector --proposing schools
+    repro-experiments run matching --proposing schools
 
 Run everything at reduced scale and write the formatted output to a file::
 
@@ -38,7 +38,7 @@ from .harness import ExperimentResult
 __all__ = ["main", "build_parser"]
 
 #: Batch backends exposed on the command line (see repro.core.DCA.fit_many).
-EXECUTOR_CHOICES = ("serial", "thread", "process")
+EXECUTOR_CHOICES = ("serial", "process")
 
 
 def _positive_int(text: str) -> int:
@@ -65,15 +65,16 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         choices=EXECUTOR_CHOICES,
         default=None,
         help=(
-            "batch backend for experiments that sweep DCA fits: 'serial', "
-            "'thread', or 'process' (shared-memory process pool)"
+            "batch backend for experiments that sweep DCA fits: 'serial' or "
+            "'process' (shared-memory process pool; the default when "
+            "--workers is above 1)"
         ),
     )
     parser.add_argument(
         "--workers",
         type=_positive_int,
         default=None,
-        help="pool size for the thread/process executors (default: one per job, capped at CPUs)",
+        help="pool size for the process executor (default: one per job, capped at CPUs)",
     )
     parser.add_argument(
         "--engine",
@@ -81,8 +82,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         help=(
             "deferred-acceptance engine for experiments that run a match: "
-            "'heap' (sequential), 'vector' (round-based, fastest at district "
-            "scale), or 'reference' (slow pure-Python twin)"
+            "'vector' (round-based, the default) or 'reference' (slow "
+            "pure-Python oracle)"
         ),
     )
     parser.add_argument(

@@ -18,7 +18,7 @@ Pipeline
    — the shared admission rubric plus a small per-school screening noise,
    with and without each school's bonus points;
 3. generate student preference lists (vectorized popularity + Gumbel model)
-   and run the heap-engine match on both planes;
+   and run the deferred-acceptance match on both planes;
 4. report per-school admitted-class demographics, the per-attribute
    representation gap against the population shares, and the rank-of-match
    distribution of both matches.
@@ -68,7 +68,7 @@ class MatchingSetting:
         seat_fraction: float = DEFAULT_SEAT_FRACTION,
         screening_noise: float = 0.05,
         seed: int = 11,
-        engine: str = "heap",
+        engine: str = "vector",
         proposing: str = "students",
     ) -> None:
         if num_schools <= 0:
@@ -201,15 +201,15 @@ def run(
     list_length: int = 5,
     max_k: float = 0.5,
     seat_fraction: float = DEFAULT_SEAT_FRACTION,
-    engine: str = "heap",
+    engine: str = "vector",
     proposing: str = "students",
     max_workers: int | None = None,
     executor: str | None = None,
 ) -> ExperimentResult:
     """Run the full DCA → deferred-acceptance → demographics pipeline.
 
-    ``engine`` selects the deferred-acceptance engine (``"heap"``,
-    ``"vector"``, or ``"reference"`` — identical matchings, different
+    ``engine`` selects the deferred-acceptance engine (``"vector"``, the
+    default, or the ``"reference"`` oracle — identical matchings, different
     speed), and ``proposing`` the side that proposes: ``"students"``
     (default, the student-optimal matching — what the NYC match runs) or
     ``"schools"`` (the school-optimal matching, useful for quantifying how

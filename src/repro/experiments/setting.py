@@ -57,8 +57,8 @@ def _sweep_fits(
 
     Shared by the school and COMPAS settings: both sweep helpers only differ
     in which score function / attribute set they default to.  ``executor``
-    selects the :meth:`repro.core.DCA.fit_many` backend (``"serial"``,
-    ``"thread"``, or the shared-memory ``"process"`` pool).
+    selects the :meth:`repro.core.DCA.fit_many` backend (``"serial"`` or
+    the shared-memory ``"process"`` pool).
     """
     ks = tuple(float(k) for k in ks)  # materialize once: ks may be a generator
     if not ks:

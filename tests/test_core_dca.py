@@ -42,6 +42,29 @@ class TestDCAValidation:
             dca.fit(Table({"score": [], "protected": []}))
 
 
+    @pytest.mark.parametrize(
+        "bad_rows", [[3, 7], slice(None)], ids=["two-scores", "every-score"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_scores_rejected(self, bad_rows, bad):
+        population = biased_population(200)
+        score = population.numeric("score").copy()
+        score[bad_rows] = bad
+        table = Table({"score": score, "protected": population.numeric("protected")})
+        count = 200 - int(np.isfinite(score).sum())
+        message = f"{count} of 200 base scores are not finite"
+        config = DCAConfig(seed=0, iterations=5, refinement_iterations=5, sample_size=100)
+        dca = DCA(["protected"], ColumnScore("score"), k=0.2, config=config)
+        with pytest.raises(ValueError, match=message):
+            dca.fit(table)
+        full = FullDCA(["protected"], ColumnScore("score"), k=0.2, config=config)
+        with pytest.raises(ValueError, match=message):
+            full.fit(table)
+        for executor in ("serial", "process"):
+            with pytest.raises(ValueError, match=message):
+                dca.fit_many(table, seeds=(1, 2), executor=executor, max_workers=2)
+
+
 class TestCoreDCA:
     def test_reduces_disparity_on_biased_population(self):
         table = biased_population()

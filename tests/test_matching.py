@@ -1,6 +1,7 @@
 """Tests for the deferred-acceptance matching substrate.
 
-Covers all three engines (``heap``, ``vector``, ``reference``), both
+Covers the library's two engines (``vector`` and the ``reference`` oracle)
+and the heap-based implementation kept in ``tests/heap_matching.py``, both
 proposing sides, the normalized ranking forms (score matrix / mapping /
 sequence), the padded preference-matrix input, the pinned
 ``proposals_made`` accounting, the pinned tie-break (equal scores break by
@@ -18,9 +19,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from heap_matching import ENGINES, run_engine
+from repro.matching import ENGINES as LIBRARY_ENGINES
 from repro.matching import deferred_acceptance, generate_student_preferences
 
-ENGINES = ("heap", "vector", "reference")
 PROPOSING = ("students", "schools")
 
 
@@ -43,7 +45,7 @@ def _assert_matches_equal(left, right) -> None:
 
 class TestDeferredAcceptance:
     def test_simple_one_school(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[3.0, 2.0, 1.0]],
             capacities=[2],
@@ -55,7 +57,7 @@ class TestDeferredAcceptance:
 
     def test_students_get_best_feasible_school(self, engine):
         # Both students prefer school 0, which has one seat and prefers student 1.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0, 1], [0, 1]],
             school_rankings=[[1.0, 2.0], [1.0, 2.0]],
             capacities=[1, 1],
@@ -71,7 +73,7 @@ class TestDeferredAcceptance:
         preferences = generate_student_preferences(num_students, num_schools, list_length=5, rng=rng)
         rankings = [list(rng.uniform(size=num_students)) for _ in range(num_schools)]
         capacities = [8] * num_schools
-        match = deferred_acceptance(preferences, rankings, capacities, engine=engine)
+        match = run_engine(preferences, rankings, capacities, engine=engine)
 
         def prefers(student: int, school: int) -> bool:
             assigned = match.assignment[student]
@@ -98,13 +100,13 @@ class TestDeferredAcceptance:
         rng = np.random.default_rng(1)
         preferences = generate_student_preferences(50, 3, list_length=3, rng=rng)
         rankings = [list(rng.uniform(size=50)) for _ in range(3)]
-        match = deferred_acceptance(preferences, rankings, [5, 7, 9], engine=engine)
+        match = run_engine(preferences, rankings, [5, 7, 9], engine=engine)
         assert len(match.roster(0)) <= 5
         assert len(match.roster(1)) <= 7
         assert len(match.roster(2)) <= 9
 
     def test_rosters_sorted_by_school_preference(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[1.0, 3.0, 2.0]],
             capacities=[3],
@@ -114,7 +116,7 @@ class TestDeferredAcceptance:
 
     def test_mapping_rankings_mark_unacceptable_students(self, engine):
         # Student 1 is not in school 0's ranking and can never be admitted there.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0]],
             school_rankings=[{0: 1.0}],
             capacities=[2],
@@ -124,7 +126,7 @@ class TestDeferredAcceptance:
 
     def test_short_sequence_ranking_marks_tail_unacceptable(self, engine):
         # School 0's score list only covers student 0; student 1 is unacceptable.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0]],
             school_rankings=[[1.0]],
             capacities=[2],
@@ -133,7 +135,7 @@ class TestDeferredAcceptance:
         assert match.assignment.tolist() == [0, -1]
 
     def test_zero_capacity_school(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0, 1]],
             school_rankings=[[1.0], [1.0]],
             capacities=[0, 1],
@@ -142,7 +144,7 @@ class TestDeferredAcceptance:
         assert match.assignment.tolist() == [1]
 
     def test_empty_preference_list_student_unmatched(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[], [0]],
             school_rankings=[[1.0, 2.0]],
             capacities=[1],
@@ -164,7 +166,7 @@ class TestDeferredAcceptance:
 
     def test_higher_ranked_student_displaces_lower(self, engine):
         # Student 2 applies last but is the school's favourite.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0], [0]],
             school_rankings=[[2.0, 1.0, 3.0]],
             capacities=[2],
@@ -179,8 +181,8 @@ class TestScoreMatrixInput:
         preferences = generate_student_preferences(30, 4, list_length=3, rng=rng)
         plane = rng.normal(size=(4, 30))
         capacities = [4, 4, 4, 4]
-        from_matrix = deferred_acceptance(preferences, plane, capacities, engine=engine)
-        from_lists = deferred_acceptance(
+        from_matrix = run_engine(preferences, plane, capacities, engine=engine)
+        from_lists = run_engine(
             preferences, [list(row) for row in plane], capacities, engine=engine
         )
         assert np.array_equal(from_matrix.assignment, from_lists.assignment)
@@ -189,7 +191,7 @@ class TestScoreMatrixInput:
 
     def test_nan_in_score_matrix_marks_unacceptable(self, engine):
         plane = np.array([[np.nan, 1.0]])
-        match = deferred_acceptance([[0], [0]], plane, [2], engine=engine)
+        match = run_engine([[0], [0]], plane, [2], engine=engine)
         assert match.assignment.tolist() == [-1, 0]
 
 
@@ -199,8 +201,8 @@ class TestPreferenceMatrixInput:
         matrix = np.array([[2, 0, -1], [1, -1, -1], [-1, -1, -1], [0, 1, 2]])
         rankings = [[1.0, 2.0, 3.0, 4.0]] * 3
         for capacities in ([1, 1, 1], [0, 2, 1]):
-            a = deferred_acceptance(lists, rankings, capacities, engine=engine)
-            b = deferred_acceptance(matrix, rankings, capacities, engine=engine)
+            a = run_engine(lists, rankings, capacities, engine=engine)
+            b = run_engine(matrix, rankings, capacities, engine=engine)
             assert np.array_equal(a.assignment, b.assignment)
             assert a.rosters == b.rosters
             assert a.proposals_made == b.proposals_made
@@ -217,13 +219,43 @@ class TestPreferenceMatrixInput:
             deferred_acceptance(np.array([[-2]]), [[1.0]], [1])
 
 
+@pytest.mark.parametrize("engine", LIBRARY_ENGINES)
+class TestIntegerInputs:
+    """School ids and capacities must be integers: nothing is truncated."""
+
+    def test_non_integer_school_id_in_lists_rejected(self, engine):
+        with pytest.raises(ValueError, match="student 0's school id must be an integer"):
+            deferred_acceptance([[0.5], [0]], [[1.0, 2.0]], [1], engine=engine)
+
+    @pytest.mark.parametrize("bad", [0.9, np.nan, np.inf])
+    def test_non_integer_school_id_in_float_matrix_rejected(self, engine, bad):
+        matrix = np.array([[bad], [0.0]])
+        with pytest.raises(ValueError, match="school ids must be integers"):
+            deferred_acceptance(matrix, [[1.0, 2.0]], [1], engine=engine)
+
+    @pytest.mark.parametrize("bad", [1.7, np.nan])
+    def test_non_integer_capacity_rejected(self, engine, bad):
+        with pytest.raises(ValueError, match="school 0's capacity must be an integer"):
+            deferred_acceptance([[0], [0]], [[1.0, 2.0]], [bad], engine=engine)
+
+    def test_integer_valued_floats_match_integers(self, engine):
+        rankings = [[1.0, 3.0, 2.0], [3.0, 1.0, 2.0]]
+        expected = deferred_acceptance([[0, 1], [0], [1, 0]], rankings, [1, 2], engine=engine)
+        for preferences in (
+            [[0.0, 1.0], [np.float64(0.0)], [1, 0.0]],
+            np.array([[0.0, 1.0], [0.0, -1.0], [1.0, 0.0]]),
+        ):
+            match = deferred_acceptance(preferences, rankings, [1.0, 2.0], engine=engine)
+            _assert_matches_equal(match, expected)
+
+
 class TestProposalAccounting:
     """Pin the ``proposals_made`` semantics: applications to zero-capacity
     schools are skipped without being counted; applications a seated school
     rejects for unacceptability are counted."""
 
     def test_zero_capacity_school_not_counted(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0, 1]],
             school_rankings=[[1.0], [1.0]],
             capacities=[0, 1],
@@ -232,7 +264,7 @@ class TestProposalAccounting:
         assert match.proposals_made == 1
 
     def test_unacceptable_application_counted(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0], [0]],
             school_rankings=[{0: 1.0}],
             capacities=[2],
@@ -243,7 +275,7 @@ class TestProposalAccounting:
     def test_exact_count_with_bump_chain(self, engine):
         # s0: zero-capacity school first, then school 1 (bumps s1 out);
         # s1: seated then bumped, list exhausted; s2: unacceptable at school 1.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0, 1], [1], [1]],
             school_rankings=[{}, {0: 2.0, 1: 1.0}],
             capacities=[0, 1],
@@ -261,7 +293,7 @@ class TestProposalAccounting:
         rng = np.random.default_rng(9)
         preferences = generate_student_preferences(40, 4, list_length=3, rng=rng)
         rankings = rng.normal(size=(4, 40))
-        match = deferred_acceptance(preferences, rankings, [6] * 4, engine=engine)
+        match = run_engine(preferences, rankings, [6] * 4, engine=engine)
         consumed = 0
         for student, prefs in enumerate(preferences):
             school = match.assignment[student]
@@ -274,7 +306,7 @@ class TestMatchedRank:
         rng = np.random.default_rng(12)
         preferences = generate_student_preferences(50, 5, list_length=4, rng=rng)
         rankings = rng.normal(size=(5, 50))
-        match = deferred_acceptance(preferences, rankings, [7] * 5, engine=engine)
+        match = run_engine(preferences, rankings, [7] * 5, engine=engine)
         for student, prefs in enumerate(preferences):
             school = match.assignment[student]
             rank = match.matched_rank[student]
@@ -287,7 +319,7 @@ class TestMatchedRank:
         rng = np.random.default_rng(13)
         preferences = generate_student_preferences(80, 5, list_length=3, rng=rng)
         rankings = rng.normal(size=(5, 80))
-        match = deferred_acceptance(preferences, rankings, [10] * 5, engine=engine)
+        match = run_engine(preferences, rankings, [10] * 5, engine=engine)
         counts = match.rank_distribution(3)
         assert counts.shape == (4,)
         assert counts.sum() == 80
@@ -295,7 +327,7 @@ class TestMatchedRank:
 
     def test_rank_distribution_rejects_uncovered_ranks(self, engine):
         # matched_rank is [1, 0, -1]: student 0 lands on their second choice.
-        match = deferred_acceptance(
+        match = run_engine(
             student_preferences=[[0, 1], [0, 1], [1]],
             school_rankings=[[1.0, 2.0, 0.0], [3.0, 2.0, 1.0]],
             capacities=[1, 1],
@@ -316,10 +348,10 @@ class TestSchoolProposing:
         # (s0->0, s1->1), schools want the opposite.  The proposing side wins.
         preferences = [[0, 1], [1, 0]]
         plane = np.array([[1.0, 2.0], [2.0, 1.0]])
-        students = deferred_acceptance(
+        students = run_engine(
             preferences, plane, [1, 1], engine=engine, proposing="students"
         )
-        schools = deferred_acceptance(
+        schools = run_engine(
             preferences, plane, [1, 1], engine=engine, proposing="schools"
         )
         assert students.assignment.tolist() == [0, 1]
@@ -329,13 +361,13 @@ class TestSchoolProposing:
 
     def test_unlisted_school_cannot_match_student(self, engine):
         # School 1 would love student 0, but student 0 never listed it.
-        match = deferred_acceptance(
+        match = run_engine(
             [[0]], [[1.0], [5.0]], [1, 1], engine=engine, proposing="schools"
         )
         assert match.assignment.tolist() == [0]
 
     def test_nan_student_never_proposed_to(self, engine):
-        match = deferred_acceptance(
+        match = run_engine(
             [[0], [0]],
             np.array([[np.nan, 1.0]]),
             [2],
@@ -348,7 +380,7 @@ class TestSchoolProposing:
         rng = np.random.default_rng(21)
         preferences = generate_student_preferences(50, 3, list_length=3, rng=rng)
         plane = rng.normal(size=(3, 50))
-        match = deferred_acceptance(
+        match = run_engine(
             preferences, plane, [5, 7, 9], engine=engine, proposing="schools"
         )
         assert [len(match.roster(j)) for j in range(3)] == [5, 7, 9]
@@ -357,7 +389,7 @@ class TestSchoolProposing:
         # Student 1 lists nothing: the school's offer is skipped silently.
         # Student 0 lists only school 1: school 0's offer is counted and
         # declined.  Counted offers: school0->s0, school1->s0.
-        match = deferred_acceptance(
+        match = run_engine(
             [[1], []],
             np.array([[2.0, 1.0], [1.0, np.nan]]),
             [1, 1],
@@ -371,7 +403,7 @@ class TestSchoolProposing:
         rng = np.random.default_rng(5)
         preferences = generate_student_preferences(60, 5, list_length=4, rng=rng)
         plane = rng.normal(size=(5, 60))
-        match = deferred_acceptance(
+        match = run_engine(
             preferences, plane, [7] * 5, engine=engine, proposing="schools"
         )
         for student, prefs in enumerate(preferences):
@@ -393,7 +425,7 @@ class TestTieBreakDeterminism:
     (integer scores, shared cut-offs) still give one deterministic match."""
 
     def test_all_tied_scores_admit_lowest_indices(self, engine, proposing):
-        match = deferred_acceptance(
+        match = run_engine(
             [[0]] * 5,
             [[1.0] * 5],
             [2],
@@ -406,7 +438,7 @@ class TestTieBreakDeterminism:
     def test_tied_bump_prefers_lower_index(self, engine):
         # Student 2 proposes last with a tied score: the incumbent holders
         # (lower indices) keep their seats.
-        match = deferred_acceptance(
+        match = run_engine(
             [[0], [0], [0]],
             [[2.0, 2.0, 2.0]],
             [2],
@@ -414,7 +446,7 @@ class TestTieBreakDeterminism:
         )
         assert match.roster(0) == (0, 1)
         # ...but a strictly better late proposal still bumps the weakest.
-        match = deferred_acceptance(
+        match = run_engine(
             [[0], [0], [0]],
             [[2.0, 2.0, 3.0]],
             [2],
@@ -423,7 +455,7 @@ class TestTieBreakDeterminism:
         assert match.roster(0) == (2, 0)
 
     def test_tied_rosters_order_by_student_index(self, engine, proposing):
-        match = deferred_acceptance(
+        match = run_engine(
             [[0]] * 4,
             [[7.0, 7.0, 7.0, 7.0]],
             [4],
@@ -443,7 +475,7 @@ class TestTieBreakDeterminism:
         plane = rng.integers(0, 2, size=(num_schools, num_students)).astype(float)
         capacities = [7] * num_schools
         results = [
-            deferred_acceptance(
+            run_engine(
                 preferences, plane, capacities, engine=engine, proposing=proposing
             )
             for engine in ENGINES
@@ -501,7 +533,7 @@ class TestEngineEquivalence:
     def test_randomized_instances_three_way(self, seed, proposing):
         preferences, rankings, capacities = _random_instance(np.random.default_rng(seed))
         results = {
-            engine: deferred_acceptance(
+            engine: run_engine(
                 preferences, rankings, capacities, engine=engine, proposing=proposing
             )
             for engine in ENGINES
@@ -524,7 +556,7 @@ class TestEngineEquivalence:
         plane = rng.integers(0, 3, size=(3, 40)).astype(float)
         plane[:, 0] = np.nan  # a fully-unacceptable student
         results = [
-            deferred_acceptance(
+            run_engine(
                 preferences, plane, capacities, engine=engine, proposing=proposing
             )
             for engine in ENGINES
@@ -541,13 +573,64 @@ class TestEngineEquivalence:
         plane[rng.random((12, 400)) < 0.05] = np.nan
         capacities = [0, 10, 25, 25, 25, 25, 25, 25, 25, 25, 25, 25]
         results = [
-            deferred_acceptance(
+            run_engine(
                 preferences, plane, capacities, engine=engine, proposing=proposing
             )
             for engine in ENGINES
         ]
         for other in results[1:]:
             _assert_matches_equal(results[0], other)
+
+
+def _bump_chain(length: int, proposing: str):
+    """An instance whose match is one ``length``-round bump chain.
+
+    Every school has one seat.  Student-proposing: each student ``i`` first
+    takes school ``i``, then a latecomer bumps student 0 from school 0,
+    student 0 bumps student 1 from school 1, and so on, one proposer per
+    round.  School-proposing is the mirror image: a latecomer school wins
+    student 0 away from school 0, which then wins student 1, and so on.
+    """
+    size = length + 1
+    plane = np.full((size, size), np.nan)
+    if proposing == "students":
+        # Students 0..length-1 list [i, i + 1]; the latecomer (index
+        # ``length``) lists school 0.  School j prefers student j - 1 to j.
+        preferences = [[i, i + 1] for i in range(length)] + [[0]]
+        for school in range(length):
+            plane[school, school] = 1.0
+            if school:
+                plane[school, school - 1] = 2.0
+        plane[0, length] = 2.0
+        expected = [i + 1 for i in range(length - 1)] + [-1, 0]
+        expected_proposals = 2 * length + 1
+    else:
+        # Schools 0..length-1 rank [j, j + 1]; the latecomer school (index
+        # ``length``) ranks only student 0.  Student s lists [s - 1, s].
+        preferences = [[length, 0]] + [[s - 1, s] for s in range(1, length)] + [[]]
+        for school in range(length):
+            plane[school, school] = 2.0
+            plane[school, school + 1] = 1.0
+        plane[length, 0] = 1.0
+        expected = [length] + list(range(length - 1)) + [-1]
+        expected_proposals = 2 * length
+    return preferences, plane, [1] * size, expected, expected_proposals
+
+
+class TestBumpChain:
+    """One proposer per round for ~2k rounds: the round engine's worst shape."""
+
+    def test_long_bump_chain_engines_agree(self, proposing):
+        preferences, plane, capacities, expected, proposals = _bump_chain(2000, proposing)
+        results = [
+            deferred_acceptance(
+                preferences, plane, capacities, engine=engine, proposing=proposing
+            )
+            for engine in LIBRARY_ENGINES
+        ]
+        assert results[0].assignment.tolist() == expected
+        assert results[0].proposals_made == proposals
+        _assert_matches_equal(results[0], results[1])
 
 
 class TestPreferenceGeneration:

@@ -1,6 +1,6 @@
 """Property-based suite: the deferred-acceptance axioms on random instances.
 
-``tests/test_matching.py`` pins the three engines to *each other*; this
+``tests/test_matching.py`` pins the engines to *each other*; this
 module pins them to the *theory*.  On seeded randomized instances (heavy
 ties, NaN-unacceptable pairings, fully-unacceptable students, zero-capacity
 schools, oversized capacities, empty preference lists) every engine and both
@@ -28,9 +28,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.matching import deferred_acceptance
+from heap_matching import ENGINES, run_engine
 
-ENGINES = ("heap", "vector", "reference")
 SEEDS = range(18)
 
 
@@ -76,7 +75,7 @@ def _school_prefers(plane, school, a, b) -> bool:
 @pytest.mark.parametrize("proposing", ("students", "schools"))
 def test_feasibility_and_view_consistency(seed, engine, proposing):
     preferences, plane, capacities = _instance(seed)
-    match = deferred_acceptance(
+    match = run_engine(
         preferences, plane, capacities, engine=engine, proposing=proposing
     )
 
@@ -133,7 +132,7 @@ def _assert_stable(preferences, plane, capacities, match) -> None:
 @pytest.mark.parametrize("proposing", ("students", "schools"))
 def test_no_blocking_pair(seed, engine, proposing):
     preferences, plane, capacities = _instance(seed)
-    match = deferred_acceptance(
+    match = run_engine(
         preferences, plane, capacities, engine=engine, proposing=proposing
     )
     _assert_stable(preferences, plane, capacities, match)
@@ -148,10 +147,10 @@ def test_student_proposing_is_student_optimal(seed, engine):
     school-proposing one (the student-optimal matching dominates every
     stable matching, of which the school-optimal one is the extreme)."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
+    student_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="students"
     )
-    school_optimal = deferred_acceptance(
+    school_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="schools"
     )
     for student in range(len(preferences)):
@@ -170,10 +169,10 @@ def test_school_proposing_is_school_optimal(seed, engine):
     dominates elementwise (students in one roster but not the other are
     uniformly ordered between two stable matchings)."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
+    student_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="students"
     )
-    school_optimal = deferred_acceptance(
+    school_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="schools"
     )
     for school in range(len(capacities)):
@@ -190,10 +189,10 @@ def test_rural_hospitals(seed, engine):
     """Both stable matchings match the same students and fill every school
     to the same count."""
     preferences, plane, capacities = _instance(seed)
-    student_optimal = deferred_acceptance(
+    student_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="students"
     )
-    school_optimal = deferred_acceptance(
+    school_optimal = run_engine(
         preferences, plane, capacities, engine=engine, proposing="schools"
     )
     assert np.array_equal(
@@ -208,10 +207,10 @@ def test_known_divergent_instance(engine):
     """A two-sided tug-of-war whose two optima are known in closed form."""
     preferences = [[0, 1], [1, 0]]
     plane = np.array([[1.0, 2.0], [2.0, 1.0]])
-    student_optimal = deferred_acceptance(
+    student_optimal = run_engine(
         preferences, plane, [1, 1], engine=engine, proposing="students"
     )
-    school_optimal = deferred_acceptance(
+    school_optimal = run_engine(
         preferences, plane, [1, 1], engine=engine, proposing="schools"
     )
     assert student_optimal.assignment.tolist() == [0, 1]
