@@ -3,18 +3,28 @@
 Section IV-D argues that DCA's runtime depends on the sample size — governed
 by ``max(1/k, 1/r)`` — rather than on the dataset size.  This benchmark times
 a single DCA fit at the default setting on cohorts of different sizes and
-checks that the fit time grows far more slowly than the data (it is not
-strictly constant because scoring the cohort once and the top-k evaluation of
-samples retain a mild dependence).
+checks that the fit time grows far more slowly than the data.
+
+It is not strictly constant, because a fit still makes a few passes over the
+whole cohort before its first step: scoring the cohort once, one build of the
+raw attribute matrix, and one normalization into the compiled objective's
+matrix (the normalizer bounds are per-column reductions, and the 400+ steps
+gather only sample rows).  ``test_dca_fit_precompute_record`` records those
+per-fit precompute seconds against the step loop at 1M rows (override with
+``REPRO_BENCH_DCA_ROWS``) into ``BENCH_dca_runtime.json``; it holds numbers
+only and gates nothing.
 """
 
 from __future__ import annotations
 
+import os
+import statistics
 import time
 
 import numpy as np
 
-from repro.core import DCA, DCAConfig
+from _bench_record import record_bench
+from repro.core import DCA, DCAConfig, DisparityObjective
 from repro.datasets import (
     SCHOOL_FAIRNESS_ATTRIBUTES,
     SchoolGeneratorConfig,
@@ -23,6 +33,11 @@ from repro.datasets import (
 )
 
 from conftest import run_once
+
+#: Cohort size of the precompute record (the ``fit_1m`` scale).
+DCA_ROWS = int(os.environ.get("REPRO_BENCH_DCA_ROWS", "1000000"))
+#: Timed repeats per layer; the record keeps the median.
+REPEATS = 5
 
 
 def _cohort_table(num_students: int):
@@ -84,3 +99,58 @@ def test_dca_fit_time_sublinear_in_dataset_size():
     large = min(seconds[40_000])
     # 4x more data must cost far less than 4x more time (sampling-based fit).
     assert large < small * 3.0
+
+
+def _median_seconds(function, repeats: int = REPEATS) -> float:
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        function()
+        seconds.append(time.perf_counter() - start)
+    return statistics.median(seconds)
+
+
+def test_dca_fit_precompute_record():
+    """Per-fit precompute seconds (scores, matrix, objective fit, compile) vs the step loop.
+
+    Each layer is the library call ``DCA.fit`` makes, timed on its own; the
+    step loop is the median default fit minus their sum, so it also holds
+    the fit's sub-millisecond input checks.  Numbers only: no wall-clock
+    gate, since the values depend on the machine.
+    """
+    table = _cohort_table(DCA_ROWS)
+    rubric = school_admission_rubric()
+    names = list(SCHOOL_FAIRNESS_ATTRIBUTES)
+    objective = DisparityObjective(SCHOOL_FAIRNESS_ATTRIBUTES)
+    precompute = {
+        "scores_s": _median_seconds(lambda: rubric.scores(table)),
+        "matrix_s": _median_seconds(lambda: table.matrix(names)),
+        "objective_fit_s": _median_seconds(lambda: objective.fit(table)),
+        "compile_s": _median_seconds(lambda: objective.compile(table)),
+    }
+    fits = [_timed_fit(table, seed=seed) for seed in range(REPEATS)]
+    fit_s = statistics.median(seconds for seconds, _ in fits)
+    precompute_s = sum(precompute.values())
+    for _, result in fits:
+        assert np.all(np.isfinite(result.bonus.values))
+
+    config = DCAConfig()
+    record_bench(
+        "dca_runtime",
+        metrics={
+            "fit_s": round(fit_s, 5),
+            "precompute": {name: round(value, 5) for name, value in precompute.items()},
+            "precompute_s": round(precompute_s, 5),
+            "step_loop_s": round(fit_s - precompute_s, 5),
+            "precompute_share": round(precompute_s / fit_s, 4),
+        },
+        context={
+            "rows": DCA_ROWS,
+            "k": 0.05,
+            "sample_size": config.sample_size,
+            "steps_per_fit": len(config.learning_rates) * config.iterations
+            + config.refinement_iterations,
+            "repeats": REPEATS,
+            "usable_cores": len(os.sched_getaffinity(0)),
+        },
+    )

@@ -33,13 +33,17 @@ entirely on NumPy arrays:
    ``A_f``, and the objective's compiled population state (normalized
    matrix, group masks, labels — see
    :meth:`repro.core.objectives.FairnessObjective.compile`) are gathered
-   **once**;
+   **once**, in one pass each: ``Table.matrix`` runs once per fit (for
+   ``A_f``), the normalizer's bounds are per-column 1-D reductions, and the
+   normalized matrix is written from the columns and scaled in place
+   rather than derived from a second raw matrix;
 2. every step draws an ``int64`` index array from the
    :class:`~repro.core.sampling.SampleStream`, computes compensated scores
-   as ``base[idx] + A_f[idx] @ B``, and evaluates the compiled objective on
-   those rows — no per-step :class:`~repro.tabular.Table` materialization,
-   no shadow index column, no :class:`~repro.core.bonus.BonusVector`
-   boxing.
+   as ``base[idx] + A_f.take(idx, axis=0) @ B``, and evaluates the compiled
+   objective on those rows (its 2-D gathers are ``take(idx, axis=0)`` too,
+   several times cheaper than ``M[idx]`` for the same bytes) — no per-step
+   :class:`~repro.tabular.Table` materialization, no shadow index column,
+   no :class:`~repro.core.bonus.BonusVector` boxing.
 
 ``engine="table"`` (:class:`~repro.core.config.DCAConfig`) preserves the
 legacy reference path that slices a table per step; both engines consume the
@@ -142,6 +146,30 @@ def _finite_base_scores(scores: np.ndarray) -> np.ndarray:
     return base
 
 
+def _finite_attributes(table: Table, attribute_names: Sequence[str]) -> None:
+    """Reject fairness attributes holding NaN or inf, naming the column and the count.
+
+    A non-finite attribute poisons every compensated score ``f + A_f · B``
+    it enters, and the fit would publish a NaN bonus.  Only float columns
+    can hold one, and then their sum is not finite either; a finite sum
+    clears a column in one reduction, and values are counted only when it
+    is not (an overflowing sum of finite values counts zero and passes).
+    """
+    for name in attribute_names:
+        values = table.column(name).values
+        if values.dtype.kind != "f":
+            continue
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.add.reduce(values)):
+                continue
+        bad = values.size - int(np.count_nonzero(np.isfinite(values)))
+        if bad:
+            raise ValueError(
+                f"fairness attribute {name!r} has {bad} of {values.size} values that "
+                "are not finite (NaN or inf); DCA needs a finite value in every row"
+            )
+
+
 def _resolve_sample_size(
     config: DCAConfig, k: float, num_rows: int, rarest_frequency: Callable[[], float]
 ) -> int:
@@ -195,6 +223,7 @@ class _BonusSearch:
         # the array engine, the raw fairness-attribute matrix A_f plus the
         # objective compiled against this population (through the cache when
         # one is provided, so batched jobs share one compilation).
+        _finite_attributes(table, self.attribute_names)
         self._base_scores = _finite_base_scores(score_function.scores(table))
         if config.engine == "array":
             self._attribute_matrix = table.matrix(list(self.attribute_names))
@@ -297,7 +326,8 @@ class _BonusSearch:
             self._phase_cursor += 1
         base = self._base_scores[indices]
         if self._compiled is not None:
-            scores = compensate_scores(self._attribute_matrix[indices], base, bonus_values)
+            rows = self._attribute_matrix.take(indices, axis=0)
+            scores = compensate_scores(rows, base, bonus_values)
             return np.asarray(self._compiled.evaluate(indices, scores, self.k), dtype=float)
         if indices.shape[0] == self.table.num_rows:
             sample = self.table  # sample covers the table: no per-step copy
@@ -353,6 +383,33 @@ def _finish_fit(
         sample_size=search.sample_size,
         elapsed_seconds=elapsed,
     )
+
+
+def _checked_setup(
+    fairness_attributes: Sequence[str],
+    k: float,
+    objective: FairnessObjective | None,
+    config: DCAConfig | None,
+) -> tuple[tuple[str, ...], float, FairnessObjective, DCAConfig]:
+    """Validated ``(attributes, k, objective, config)`` for :class:`DCA` and :class:`FullDCA`.
+
+    The objective's attribute order is the order the fitted bonus values
+    come back in, so an objective over the same attributes in another order
+    would publish each bonus under another attribute's name.
+    """
+    attributes = tuple(fairness_attributes)
+    if not attributes:
+        raise ValueError("at least one fairness attribute is required")
+    if not 0.0 < float(k) <= 1.0:
+        raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+    config = config or DCAConfig()
+    config.validate()
+    if objective is not None and tuple(objective.attribute_names) != attributes:
+        raise ValueError(
+            "the objective's attributes must match the fairness attributes: "
+            f"{objective.attribute_names} vs {attributes}"
+        )
+    return attributes, float(k), objective or DisparityObjective(attributes), config
 
 
 class CoreDCA:
@@ -536,21 +593,10 @@ class DCA:
         config: DCAConfig | None = None,
         objective_cache: CompiledObjectiveCache | None = None,
     ) -> None:
-        self.fairness_attributes = tuple(fairness_attributes)
-        if not self.fairness_attributes:
-            raise ValueError("at least one fairness attribute is required")
-        if not 0.0 < float(k) <= 1.0:
-            raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+        self.fairness_attributes, self.k, self.objective, self.config = _checked_setup(
+            fairness_attributes, k, objective, config
+        )
         self.score_function = score_function
-        self.k = float(k)
-        self.config = config or DCAConfig()
-        self.config.validate()
-        if objective is not None and tuple(objective.attribute_names) != self.fairness_attributes:
-            raise ValueError(
-                "the objective's attributes must match the fairness attributes: "
-                f"{objective.attribute_names} vs {self.fairness_attributes}"
-            )
-        self.objective = objective or DisparityObjective(self.fairness_attributes)
         self.objective_cache = objective_cache
 
     def fit(self, table: Table) -> DCAResult:
@@ -722,6 +768,11 @@ class DCA:
         parent_jobs: list[tuple[int, FitSpec]] = []
         job_meta: dict[int, tuple[FitSpec, float, int | None]] = {}
 
+        # Bad attributes fail here, before any pool or segment exists, even
+        # for the jobs that will run in the parent.
+        attribute_sets = (tuple(self._resolve_spec(spec)[1].attribute_names) for spec in jobs)
+        for attributes in dict.fromkeys(attribute_sets):
+            _finite_attributes(table, attributes)
         for index, spec in enumerate(jobs):
             config, objective_template, k = self._resolve_spec(spec)
             signature = objective_template.signature()
@@ -812,23 +863,16 @@ class FullDCA:
         objective: FairnessObjective | None = None,
         config: DCAConfig | None = None,
     ) -> None:
-        self.fairness_attributes = tuple(fairness_attributes)
-        if not self.fairness_attributes:
-            raise ValueError("at least one fairness attribute is required")
-        if not 0.0 < float(k) <= 1.0:
-            raise ValueError(f"selection fraction k must be in (0, 1], got {k}")
+        # Full DCA ignores the sampling settings of the config.
+        self.fairness_attributes, self.k, self.objective, self.config = _checked_setup(
+            fairness_attributes, k, objective, config
+        )
         self.score_function = score_function
-        self.k = float(k)
-        base = config or DCAConfig()
-        # Full DCA ignores the sampling machinery entirely.
-        self.config = base
-        self.objective = objective or DisparityObjective(self.fairness_attributes)
 
     def fit(self, table: Table) -> DCAResult:
         start = time.perf_counter()
         self.objective.fit(table)
         config = self.config
-        config.validate()
         search = _BonusSearch(table, self.score_function, self.objective, self.k, config)
         bonus = search.initial_bonus()
         traces: list[DCATrace] = []

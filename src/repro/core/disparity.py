@@ -22,7 +22,8 @@ Two evaluation modes are provided:
 
 Both modes also have an **array-plane** entry point used by the DCA hot loop:
 :meth:`DisparityCalculator.normalized_matrix` materializes the normalized
-attribute matrix of a population once, and
+attribute matrix of a population once (from the 1-D columns, without
+building the raw attribute matrix), and
 :meth:`DisparityCalculator.disparity_from_matrix` evaluates a selection
 directly on a row subset of it — no :class:`~repro.tabular.Table` slicing per
 step.  Because normalization is elementwise, indexing rows out of the
@@ -50,6 +51,73 @@ __all__ = [
 ]
 
 
+#: Rows per tile in :func:`_min_max_scale`: the first ``rows - rows % 256``
+#: rows of a C-order ``(rows, attributes)`` matrix are viewed as
+#: ``(rows // 256, attributes * 256)`` rows against bounds tiled 256 times, so
+#: every ufunc call runs over long contiguous rows instead of one
+#: ``attributes``-wide row per call (the reason a broadcast
+#: ``(matrix - low) / span`` over a 1M x 4 matrix costs ~30 ms).
+_TILE_ROWS = 256
+
+
+def _column_bounds(table: Table, attribute_names: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column ``(min, max)`` of the named columns, from the 1-D columns.
+
+    Bitwise equal to ``table.matrix(names).min(axis=0)`` / ``.max(axis=0)``,
+    at a fraction of the cost: an axis-0 reduction over a C-order
+    ``(rows, attributes)`` matrix runs one ``attributes``-wide inner loop
+    per row, while a 1-D reduction runs one long loop (and a boolean column
+    stops at its first ``False``/``True``).  Reducing the raw column values
+    and converting the result to float gives the same number as converting
+    first, because the int-to-float conversion is monotone.
+
+    Two inputs make the axis-0 reduction's bits depend on its memory order:
+    a NaN (which NaN propagates) and a zero bound in a float column holding
+    ``-0.0`` (``min`` of ``0.0`` and ``-0.0`` may return either).  Those
+    fall back to the axis-0 reduction itself, so the bounds never differ.
+    """
+    columns = [table.column(name).values for name in attribute_names]
+    low = np.array([values.min() for values in columns], dtype=float)
+    high = np.array([values.max() for values in columns], dtype=float)
+    signed_zero = any(
+        values.dtype.kind == "f"
+        and (lo == 0.0 or hi == 0.0)
+        and bool(np.signbit(values[values == 0.0]).any())
+        for values, lo, hi in zip(columns, low, high)
+    )
+    if signed_zero or np.isnan(low).any() or np.isnan(high).any():
+        matrix = table.matrix(list(attribute_names))
+        return matrix.min(axis=0), matrix.max(axis=0)
+    return low, high
+
+
+def _min_max_scale(source: np.ndarray, low: np.ndarray, span: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[...] = np.clip((source - low) / span, 0, 1)``, with no temporaries.
+
+    ``source`` may be ``out`` itself.  Each element goes through the same
+    subtract, divide and clip as the broadcast expression, so the result is
+    bitwise identical; only the loop shape differs (see ``_TILE_ROWS``).
+    """
+    parts = [(source, out, low, span)]
+    if source.ndim == 2 and source.flags.c_contiguous and out.flags.c_contiguous:
+        rows, width = source.shape
+        full = rows - rows % _TILE_ROWS
+        parts = [
+            (
+                source[:full].reshape(-1, width * _TILE_ROWS),
+                out[:full].reshape(-1, width * _TILE_ROWS),
+                np.tile(low, _TILE_ROWS),
+                np.tile(span, _TILE_ROWS),
+            ),
+            (source[full:], out[full:], low, span),
+        ]
+    for src, dst, lo, sp in parts:
+        np.subtract(src, lo, out=dst)
+        np.divide(dst, sp, out=dst)
+        np.clip(dst, 0.0, 1.0, out=dst)
+    return out
+
+
 class AttributeNormalizer:
     """Min-max normalization bounds for fairness attributes.
 
@@ -57,6 +125,11 @@ class AttributeNormalizer:
     ENI, …) are normalized "based on the range of values" (Section III-D).
     The bounds are learned once from a reference population so that samples
     and future cohorts are normalized consistently.
+
+    Every population-sized step runs once per column or once per matrix:
+    :meth:`fit` reduces each 1-D column (no attribute matrix is built), and
+    :meth:`transform` fills one ``(rows, attributes)`` output from the
+    columns and scales it in place.
     """
 
     def __init__(self, attribute_names: Sequence[str]) -> None:
@@ -71,9 +144,8 @@ class AttributeNormalizer:
         return self._low is not None
 
     def fit(self, table: Table) -> "AttributeNormalizer":
-        matrix = table.matrix(list(self.attribute_names))
-        self._low = matrix.min(axis=0)
-        self._high = matrix.max(axis=0)
+        """Learn per-attribute ``(min, max)`` bounds from ``table``'s columns."""
+        self._low, self._high = _column_bounds(table, self.attribute_names)
         return self
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
@@ -82,24 +154,35 @@ class AttributeNormalizer:
         return self._low.copy(), self._high.copy()
 
     def transform(self, table: Table) -> np.ndarray:
-        """Return the normalized fairness-attribute matrix of ``table``."""
-        return self.transform_matrix(table.matrix(list(self.attribute_names)))
+        """Return the normalized fairness-attribute matrix of ``table``.
+
+        Equal to ``transform_matrix(table.matrix(names))`` bit for bit, but
+        the raw matrix is never built: the columns are written straight into
+        the output, which is then scaled in place.
+        """
+        out = np.empty((table.num_rows, len(self.attribute_names)), dtype=float)
+        for j, name in enumerate(self.attribute_names):
+            out[:, j] = table.column(name).values
+        return self._scale(out, out)
 
     def transform_matrix(self, matrix: np.ndarray) -> np.ndarray:
         """Normalize a raw ``(rows, attributes)`` matrix in this normalizer's order.
 
-        This is the array-plane twin of :meth:`transform`: the DCA engine
-        normalizes the full population matrix once per fit and then serves
-        per-step samples by row indexing, which is bitwise identical to
-        normalizing each sample separately (the transform is elementwise).
+        This is the array-plane twin of :meth:`transform`: the result is a
+        new array and ``matrix`` is left untouched.  Normalization is
+        elementwise, so indexing rows out of a normalized population matrix
+        is bitwise identical to normalizing each sample separately.
         """
         matrix = np.asarray(matrix, dtype=float)
+        return self._scale(matrix, np.empty(matrix.shape, dtype=float))
+
+    def _scale(self, source: np.ndarray, out: np.ndarray) -> np.ndarray:
         if self._low is None or self._high is None:
             # Unfitted: assume attributes are already in [0, 1] (the common
             # case of binary attributes) and clip defensively.
-            return np.clip(matrix, 0.0, 1.0)
+            return np.clip(source, 0.0, 1.0, out=out)
         span = np.where(self._high > self._low, self._high - self._low, 1.0)
-        return np.clip((matrix - self._low) / span, 0.0, 1.0)
+        return _min_max_scale(source, self._low, span, out)
 
 
 @dataclass(frozen=True)

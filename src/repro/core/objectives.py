@@ -33,7 +33,8 @@ Every objective can be **compiled** against a population via
 ``evaluate(indices, scores, k)`` works directly on NumPy arrays: the
 population-level inputs (normalized attribute matrix, group-membership masks,
 labels) are gathered once, and each sampled DCA step is served by row
-indexing — no per-step :class:`~repro.tabular.Table` construction.  The
+gathers (``take(indices, axis=0)`` on the 2-D arrays) — no per-step
+:class:`~repro.tabular.Table` construction.  The
 built-in objectives provide exact array-plane compilations (bitwise identical
 to their table-path results); custom subclasses that only implement
 ``evaluate`` automatically fall back to a compiled wrapper that slices the
@@ -256,7 +257,7 @@ class _CompiledDisparity(CompiledObjective):
         self._matrix = matrix
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix = self._matrix if indices is None else self._matrix[indices]
+        matrix = self._matrix if indices is None else self._matrix.take(indices, axis=0)
         mask = selection_mask(scores, k)
         return _column_means(matrix[mask]) - _column_means(matrix)
 
@@ -330,7 +331,7 @@ class _CompiledLogDiscounted(CompiledObjective):
         return self._cached_grid, self._cached_weights
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        matrix = self._matrix if indices is None else self._matrix[indices]
+        matrix = self._matrix if indices is None else self._matrix.take(indices, axis=0)
         grid, weights = self._capped_grid(k)
         population_centroid = _column_means(matrix)
         total = np.zeros(matrix.shape[1], dtype=float)
@@ -535,7 +536,9 @@ class _CompiledGroupObjective(CompiledObjective):
         self._kernel = kernel
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        membership = self._membership if indices is None else self._membership[indices]
+        membership = (
+            self._membership if indices is None else self._membership.take(indices, axis=0)
+        )
         return self._kernel(membership, selection_mask(scores, k))
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
@@ -561,7 +564,8 @@ class _CompiledFalsePositiveRate(CompiledObjective):
         if indices is None:
             membership, labels = self._membership, self._labels
         else:
-            membership, labels = self._membership[indices], self._labels[indices]
+            membership = self._membership.take(indices, axis=0)
+            labels = self._labels[indices]
         return _false_positive_rate_values(membership, labels, selection_mask(scores, k))
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:
@@ -581,7 +585,9 @@ class _CompiledExposureGap(CompiledObjective):
         self._membership = membership
 
     def evaluate(self, indices: np.ndarray | None, scores: np.ndarray, k: float) -> np.ndarray:
-        membership = self._membership if indices is None else self._membership[indices]
+        membership = (
+            self._membership if indices is None else self._membership.take(indices, axis=0)
+        )
         return _exposure_gap_values(membership, scores)
 
     def export_state(self) -> tuple[dict[str, np.ndarray], dict]:

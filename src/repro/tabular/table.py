@@ -164,10 +164,16 @@ class Table:
         return self.column(name).to_numeric()
 
     def matrix(self, names: Sequence[str]) -> np.ndarray:
-        """Return the given columns stacked into an ``(n_rows, n_cols)`` float matrix."""
-        if not names:
-            return np.empty((self.num_rows, 0), dtype=float)
-        return np.column_stack([self.numeric(name) for name in names])
+        """Return the given columns stacked into an ``(n_rows, n_cols)`` float matrix.
+
+        Each column is converted while it is written into the output, so no
+        per-column float copy is made on the way.
+        """
+        columns = [self.column(name).values for name in names]
+        matrix = np.empty((self.num_rows, len(columns)), dtype=float)
+        for j, values in enumerate(columns):
+            matrix[:, j] = values
+        return matrix
 
     def row(self, index: int) -> dict[str, object]:
         """Return row ``index`` as a plain dict (categoricals give labels)."""

@@ -64,6 +64,52 @@ class TestDCAValidation:
             with pytest.raises(ValueError, match=message):
                 dca.fit_many(table, seeds=(1, 2), executor=executor, max_workers=2)
 
+    @pytest.mark.parametrize(
+        "bad_rows, bad", [([3, 7], np.nan), ([5], np.inf), ([9], -np.inf)],
+        ids=["two-nan", "one-inf", "one-minus-inf"],
+    )
+    def test_non_finite_attributes_rejected(self, bad_rows, bad, monkeypatch):
+        population = biased_population(200)
+        eni = np.random.default_rng(1).uniform(size=200)
+        eni[bad_rows] = bad
+        table = population.with_column("eni", eni)
+        message = f"fairness attribute 'eni' has {len(bad_rows)} of 200 values that are not finite"
+        config = DCAConfig(seed=0, iterations=5, refinement_iterations=5, sample_size=100)
+        attributes = ["protected", "eni"]
+        dca = DCA(attributes, ColumnScore("score"), k=0.2, config=config)
+        with pytest.raises(ValueError, match=message):
+            dca.fit(table)
+        full = FullDCA(attributes, ColumnScore("score"), k=0.2, config=config)
+        with pytest.raises(ValueError, match=message):
+            full.fit(table)
+
+        def no_plane(*args, **kwargs):
+            raise AssertionError("a shared-memory plane was built before the check")
+
+        monkeypatch.setattr("repro.core.dca.SharedPopulationPlane", no_plane)
+        for executor in ("serial", "process"):
+            with pytest.raises(ValueError, match=message):
+                dca.fit_many(table, seeds=(1, 2), executor=executor, max_workers=2)
+
+    def test_finite_float_attributes_accepted(self):
+        population = biased_population(300)
+        # Finite values whose sum overflows to inf must not be mistaken for inf.
+        huge = np.full(300, 1e308)
+        table = population.with_column("huge", huge)
+        config = DCAConfig(seed=0, iterations=3, refinement_iterations=0, sample_size=100)
+        result = DCA(["protected", "huge"], ColumnScore("score"), k=0.2, config=config).fit(table)
+        assert np.all(np.isfinite(result.bonus.values))
+
+    def test_objective_attribute_order_must_match(self):
+        reversed_objective = DisparityObjective(["b", "a"])
+        for cls in (DCA, FullDCA):
+            with pytest.raises(ValueError, match="must match the fairness attributes"):
+                cls(["a", "b"], ColumnScore("score"), k=0.1, objective=reversed_objective)
+
+    def test_full_dca_validates_config_eagerly(self):
+        with pytest.raises(ValueError, match="iterations must be positive"):
+            FullDCA(["protected"], ColumnScore("score"), k=0.1, config=DCAConfig(iterations=0))
+
 
 class TestCoreDCA:
     def test_reduces_disparity_on_biased_population(self):
